@@ -167,8 +167,7 @@ fn bench_warp_memops(c: &mut Criterion) {
     group.finish();
 }
 
-/// Pure kernel-dispatch overhead of [`GpuContext::launch`] (no body work):
-/// the serial fast path at pool size 1, the rayon path otherwise.
+/// Pure kernel-dispatch overhead of [`GpuContext::launch`] (no body work).
 fn bench_launch_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("launch_dispatch");
     for blocks in [1u32, 16, 108] {
@@ -197,11 +196,10 @@ fn bench_launch_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end host time of the three execution paths on one graph: the
-/// fused single-entry round engine (`launch_fused`, the default), the
-/// two-launch warp-vectorized fast path (two-phase scheduler), and the
-/// retained per-lane reference — all bit-identical in output, differing
-/// only in host-side execution strategy.
+/// End-to-end host time of the two execution paths on one graph: the
+/// fused single-entry round engine (`launch_fused`, the default) and the
+/// retained per-lane reference — bit-identical in output, differing only
+/// in host-side execution strategy.
 fn bench_exec_paths(c: &mut Criterion) {
     let g = gen::rmat(12, 20_000, gen::RmatParams::graph500(), 7);
     let base = PeelConfig {
@@ -217,7 +215,6 @@ fn bench_exec_paths(c: &mut Criterion) {
     group.sample_size(10);
     for (name, path) in [
         ("fused", ExecPath::Fused),
-        ("fast", ExecPath::Fast),
         ("reference", ExecPath::Reference),
     ] {
         let cfg = base.with_exec_path(path);

@@ -3,7 +3,7 @@
 //! other table, which reports *simulated* device time. The split matters:
 //! simulated time is the paper's claim, host time is what a contributor
 //! actually waits for, and a host-side regression (say, an accidental
-//! allocation storm in the wave scheduler) is invisible to every simulated
+//! allocation storm in the wave loop) is invisible to every simulated
 //! metric.
 //!
 //! ```bash
@@ -12,9 +12,9 @@
 //! ```
 //!
 //! Each (dataset, variant) run gets a wall-clock [`HostProfiler`] wrapped
-//! in a `run` span; the per-launch buckets (dispatch, parallel plan,
-//! serial commit, arena, scheduler wait, transfers) accumulated by the
-//! execution engine are rolled up per phase and printed host-vs-sim.
+//! in a `run` span; the per-launch buckets (dispatch, serial commit,
+//! arena, transfers, fused step) accumulated by the execution engine are
+//! rolled up per phase and printed host-vs-sim.
 //! Output lands in `results/table_host.json` and `results/table_host.txt`,
 //! the latter naming the top host overhead buckets across the whole sweep.
 //!

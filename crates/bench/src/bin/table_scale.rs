@@ -15,9 +15,8 @@
 //!   against 16 GB P100 devices: the max predicted per-device peak for each
 //!   pool size, proving where the billion-edge rows fit.
 //!
-//! Env knobs: `KCORE_PARTITION=balanced|degree` restricts the partitioner
-//! column; `KCORE_EXEC_PATH` selects the worker kernel path as everywhere
-//! else (inherited via the harness peel config).
+//! Env knob: `KCORE_PARTITION=balanced|degree` restricts the partitioner
+//! column.
 //!
 //! With `--check` (used by `scripts/ci.sh`), runs the smoke datasets
 //! instead and asserts the sharded contract: cores equal BZ at every pool
@@ -28,7 +27,7 @@
 use kcore_bench::{
     fleet_timeline_enabled, prepare, prepare_all, print_table, save_fleet, save_json,
 };
-use kcore_gpu::{decompose_multi_fleet, decompose_multi_traced, shard_memstats, MultiGpuConfig};
+use kcore_gpu::{decompose_multi_fleet, shard_memstats, MultiGpuConfig};
 use kcore_gpusim::{FleetTrace, P100_DEVICE_BYTES};
 use kcore_graph::datasets;
 use kcore_graph::PartitionStrategy;
@@ -336,7 +335,9 @@ fn main() {
             peel: e.peel_cfg,
             ..MultiGpuConfig::default()
         };
-        let (_, traces) = decompose_multi_traced(&e.graph, &cfg, &e.sim).unwrap();
+        let traces = decompose_multi_fleet(&e.graph, &cfg, &e.sim, e.dataset.name)
+            .unwrap()
+            .traces;
         let n = e.graph.num_vertices() as u64;
         for (wi, t) in traces.iter().enumerate() {
             let deg = t

@@ -17,16 +17,12 @@
 //!   the paper uses 100);
 //! * `KCORE_DATASETS` — comma-separated dataset-name filter;
 //! * `KCORE_SMOKE` — set to use the miniature smoke-test registry subset
-//!   (fast CI runs);
-//! * `KCORE_EXEC_PATH` — host execution strategy: `fused` (default),
-//!   `fast`, or `reference`. Cost-model-neutral (every table cell is
-//!   bit-identical across values); changes host wall-clock only, so the
-//!   oracle paths can be timed on the full sweep without a rebuild.
+//!   (fast CI runs).
 
 pub mod regress;
 
 use kcore_cpu::CoreAlgorithm;
-use kcore_gpu::{ExecPath, PeelConfig};
+use kcore_gpu::PeelConfig;
 use kcore_gpusim::{SimError, SimOptions};
 use kcore_graph::datasets::{self, Dataset};
 use kcore_graph::{Csr, GraphStats};
@@ -96,7 +92,6 @@ pub fn prepare(dataset: Dataset) -> Env {
         },
         buf_capacity: ((1_000_000.0 / scale) as usize).max(4_096),
         shared_buf_capacity: ((10_000.0 / scale) as usize).max(64),
-        exec_path: exec_path_from_env(),
         ..PeelConfig::default()
     };
     let truth = kcore_cpu::bz::Bz.run(&graph);
@@ -133,19 +128,6 @@ pub fn prepare_all() -> Vec<Env> {
         })
         .map(prepare)
         .collect()
-}
-
-/// Parses `KCORE_EXEC_PATH`: `fused` (default) | `fast` | `reference`.
-/// All three paths produce bit-identical cells (DESIGN.md "Fused execution
-/// & the single-plan contract"), so the knob only moves host wall time.
-fn exec_path_from_env() -> ExecPath {
-    let v = std::env::var("KCORE_EXEC_PATH").unwrap_or_default();
-    match v.to_ascii_lowercase().as_str() {
-        "" | "fused" => ExecPath::Fused,
-        "fast" => ExecPath::Fast,
-        "reference" => ExecPath::Reference,
-        other => panic!("KCORE_EXEC_PATH must be fused, fast or reference (got {other:?})"),
-    }
 }
 
 /// Repetition count for avg ± std experiments.
@@ -440,23 +422,6 @@ mod tests {
         mark_best(&mut cells, &[Some(5.0), Some(3.0)]);
         assert_eq!(cells[1], "3.0*");
         assert_eq!(cells[0], "5.0");
-    }
-
-    #[test]
-    fn exec_path_env_parses() {
-        // only valid values are set here: other tests in this binary may
-        // call prepare() concurrently and would panic on an invalid one
-        std::env::remove_var("KCORE_EXEC_PATH");
-        assert_eq!(exec_path_from_env(), ExecPath::Fused);
-        for (v, want) in [
-            ("fused", ExecPath::Fused),
-            ("Fast", ExecPath::Fast),
-            ("REFERENCE", ExecPath::Reference),
-        ] {
-            std::env::set_var("KCORE_EXEC_PATH", v);
-            assert_eq!(exec_path_from_env(), want);
-        }
-        std::env::remove_var("KCORE_EXEC_PATH");
     }
 
     #[test]

@@ -38,27 +38,20 @@ pub enum Buffering {
     Prefetch,
 }
 
-/// Which host-side execution strategy runs the kernels. All paths produce
-/// **bit-identical** results, counters, and golden fingerprints — the fast
-/// and fused paths change how costs are computed, never what they sum to
-/// (the invariant is pinned by `tests/fastpath_diff.rs`).
+/// Which host-side execution strategy runs the kernels. Both paths produce
+/// **bit-identical** results, counters, and golden fingerprints — the fused
+/// path changes how costs are computed, never what they sum to (the
+/// invariant is pinned by `tests/fastpath_diff.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
-    /// The fast-path kernels on the fused persistent-style round engine
+    /// Warp-vectorized kernels (bulk per-warp charging, allocation-free
+    /// scan/ballot primitives) on the fused round engine
     /// ([`kcore_gpusim::GpuContext::launch_fused`]): one engine entry per
-    /// peel round runs the scan step and the stepped loop, paying dispatch
-    /// and arena setup once and carrying block scratch across the step
-    /// boundary. The default.
+    /// peel round runs the scan step and the stepped loop. The default.
     #[default]
     Fused,
-    /// Warp-vectorized kernels: bulk per-warp charging, allocation-free
-    /// scan/ballot primitives, and the two-phase parallel wave scheduler
-    /// ([`kcore_gpusim::GpuContext::launch_stepped_phased`]) for the loop
-    /// kernel, dispatched as two launches per round. Kept as the
-    /// two-launch oracle for the fused engine.
-    Fast,
-    /// The retained per-lane reference kernels: per-access charging and the
-    /// serial lockstep wave loop. Kept as the differential-testing oracle.
+    /// The retained per-lane reference kernels: per-access charging, one
+    /// launch per kernel. Kept as the differential-testing oracle.
     Reference,
 }
 

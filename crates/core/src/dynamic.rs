@@ -22,7 +22,7 @@
 //! then inserts) and walked with per-edge theorem-backed traversals. The
 //! per-edge traversals are kernelized on [`kcore_gpusim`] with the same
 //! block-granularity frontier buffers, ballot compaction and
-//! plan/commit wave discipline as the peel kernels — traces are
+//! plan/commit wave steps as the peel kernels — traces are
 //! bit-identical at any rayon pool size. Past [`DynamicConfig::crossover`]
 //! net updates the engine falls back to a from-scratch
 //! [`peel::decompose_in`], which is cheaper than massed traversals.
@@ -604,23 +604,27 @@ impl DynamicCore {
     fn launch_subcore(&mut self, roots: &[u32], k: u32, seed_mcd: bool) -> Result<(), SimError> {
         let p = self.p;
         let roots = roots.to_vec();
-        self.ctx.launch_stepped_phased(
+        self.ctx.launch_stepped(
             "dyn_subcore",
             self.cfg.launch,
             |blk| bfs_init(blk, &p, &roots, seed_mcd),
-            |blk, st| bfs_plan(blk, st, &p, k),
-            |blk, st, plan| bfs_commit(blk, st, plan, &p, seed_mcd),
+            |blk, st| {
+                let plan = bfs_plan(blk, st, &p, k)?;
+                bfs_commit(blk, st, plan, &p, seed_mcd)
+            },
         )
     }
 
     fn launch_cascade(&mut self, thresh: u32, drop_to: Option<u32>) -> Result<(), SimError> {
         let p = self.p;
-        self.ctx.launch_stepped_phased(
+        self.ctx.launch_stepped(
             "dyn_cascade",
             self.cfg.launch,
             |blk| casc_init(blk, &p, thresh, drop_to),
-            |blk, st| casc_plan(blk, st, &p),
-            |blk, st, plan| casc_commit(blk, st, plan, &p, thresh, drop_to),
+            |blk, st| {
+                let plan = casc_plan(blk, st, &p)?;
+                casc_commit(blk, st, plan, &p, thresh, drop_to)
+            },
         )
     }
 
@@ -755,18 +759,6 @@ fn build_device_csr(
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
-//
-// Determinism discipline (DESIGN.md "Fast-path cost accounting" contract):
-//
-// * plain `launch` kernels (`k_mcd`, `k_support`, `k_commit`, and the
-//   one-block `k_edge` / `k_prune`) only perform block-disjoint writes —
-//   no shared atomic cursors across concurrent blocks;
-// * list compaction (candidate / changed cursors in `dyn.meta`) happens
-//   only on serial lanes: the stepped launches' init (block order) and
-//   commit (wave order) phases;
-// * stepped plan phases read only launch-immutable buffers (offset / len /
-//   adj / core / mcd / flag as applicable), the block's own frontier below
-//   this wave's floor, and the block's own shared state.
 
 /// MCD counter kernel. Full mode (`list == false`): vertex `i` striped over
 /// blocks. List mode: vertex `dyn.cand[i]`. `mcd(v) = |{u ∈ N(v) :
@@ -1014,7 +1006,7 @@ fn bfs_init(
     })
 }
 
-/// Subcore search, plan phase (parallel): reads this wave's frontier slice
+/// Subcore search, plan half: reads this wave's frontier slice
 /// and walks each vertex's adjacency, ballot-compacting the core-`k`
 /// neighbors. Touches only launch-immutable buffers (offset / len / adj /
 /// core) — the visited flags are commit's.
@@ -1081,7 +1073,7 @@ fn bfs_plan(
     Ok(Some((s, batch)))
 }
 
-/// Subcore search, commit phase (serial, wave order): test-sets each
+/// Subcore search, commit half: test-sets each
 /// planned neighbor's flag; first visit appends it to the candidate list
 /// and this block's frontier, seeding support from MCD for deletions.
 fn bfs_commit(
@@ -1230,7 +1222,7 @@ fn casc_init(
     })
 }
 
-/// Eviction cascade, plan phase (parallel): walks each evicted vertex's
+/// Eviction cascade, plan half: walks each evicted vertex's
 /// adjacency and ballot-compacts the neighbors inside the candidate set
 /// (`flag`, immutable during the cascade). Support, eviction marks and
 /// cores are commit's.
@@ -1296,7 +1288,7 @@ fn casc_plan(
     Ok(Some((s, batch)))
 }
 
-/// Eviction cascade, commit phase (serial, wave order): decrements each
+/// Eviction cascade, commit half: decrements each
 /// planned candidate's support; a decrement from exactly `thresh` evicts —
 /// mark, changed-list append, optional core drop, frontier append. An
 /// un-evicted candidate always has `sup >= thresh >= 1`, so the decrement

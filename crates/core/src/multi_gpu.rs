@@ -63,8 +63,7 @@ pub struct MultiGpuConfig {
     /// Number of worker GPUs (each gets its own simulated device).
     pub num_gpus: usize,
     /// Kernel configuration used by every worker (including the
-    /// [`ExecPath`] — workers honor `KCORE_EXEC_PATH` whenever the caller
-    /// parsed it into `peel.exec_path`, as the bench harness does).
+    /// [`ExecPath`]).
     pub peel: PeelConfig,
     /// Vertex-to-shard assignment strategy.
     pub partition: PartitionStrategy,
@@ -126,7 +125,7 @@ pub struct MultiGpuRun {
 pub struct FleetRun {
     /// The decomposition result, bit-identical to [`decompose_multi`].
     pub run: MultiGpuRun,
-    /// Per-worker traces, shard order (same as [`decompose_multi_traced`]).
+    /// Per-worker traces, shard order.
     pub traces: Vec<Trace>,
     /// Per-worker SM timelines, shard order — feed
     /// [`FleetTrace::merged_chrome_json`].
@@ -155,25 +154,15 @@ pub fn decompose_multi(
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
 ) -> Result<MultiGpuRun, SimError> {
-    decompose_multi_traced(g, cfg, opts).map(|(run, _)| run)
-}
-
-/// [`decompose_multi`], also returning each worker's [`Trace`] (in shard
-/// order) for golden pinning and per-device memstats inspection.
-pub fn decompose_multi_traced(
-    g: &Csr,
-    cfg: &MultiGpuConfig,
-    opts: &SimOptions,
-) -> Result<(MultiGpuRun, Vec<Trace>), SimError> {
-    decompose_multi_impl(g, cfg, opts, None).map(|(run, traces, _, _)| (run, traces))
+    decompose_multi_impl(g, cfg, opts, None).map(|(run, ..)| run)
 }
 
 /// [`decompose_multi`] with the full fleet observability layer: the run,
-/// the per-worker traces and timelines, and the [`FleetTrace`] ledger
+/// the per-worker traces (shard order, for golden pinning and per-device
+/// memstats inspection) and timelines, and the [`FleetTrace`] ledger
 /// (exchange flows, sub-round slices, per-round critical path). The run
-/// itself — `total_ms`, fingerprints, `exchanged_bytes`, traces — is
-/// bit-identical to [`decompose_multi_traced`]; the fleet layer only
-/// observes.
+/// itself — `total_ms`, fingerprints, `exchanged_bytes` — is bit-identical
+/// to [`decompose_multi`]; the fleet layer only observes.
 pub fn decompose_multi_fleet(
     g: &Csr,
     cfg: &MultiGpuConfig,
@@ -882,7 +871,8 @@ mod tests {
         // Tentpole memory contract: each worker's ledger holds only
         // shard-local allocations — no full-|V| arrays on any device.
         let g = gen::erdos_renyi_gnm(1_200, 6_000, 9);
-        let (run, traces) = decompose_multi_traced(&g, &cfg(4), &SimOptions::default()).unwrap();
+        let FleetRun { run, traces, .. } =
+            decompose_multi_fleet(&g, &cfg(4), &SimOptions::default(), "gnm").unwrap();
         assert_eq!(run.core, kcore_cpu::bz::Bz.run(&g));
         let part = Partition::build(&g, 4, PartitionStrategy::BalancedArcs);
         assert_eq!(traces.len(), 4);
@@ -918,7 +908,7 @@ mod tests {
     fn exec_paths_agree_on_sharded_run() {
         let g = gen::web_crawl(1_000, 8, 0.5, 2_000, 3);
         let base = cfg(2);
-        let runs: Vec<MultiGpuRun> = [ExecPath::Fused, ExecPath::Fast, ExecPath::Reference]
+        let runs: Vec<MultiGpuRun> = [ExecPath::Fused, ExecPath::Reference]
             .iter()
             .map(|&ep| {
                 let c = MultiGpuConfig {
@@ -929,31 +919,26 @@ mod tests {
             })
             .collect();
         assert_eq!(runs[0].core, runs[1].core);
-        assert_eq!(runs[1].core, runs[2].core);
         assert_eq!(runs[0].exchanged_bytes, runs[1].exchanged_bytes);
         assert_eq!(runs[0].sub_rounds, runs[1].sub_rounds);
-        // Fused ≡ Fast to the bit (the fused engine's record contract);
-        // Reference differs only in kernel-internal counter attribution.
         assert_eq!(runs[0].worker_fingerprints, runs[1].worker_fingerprints);
         assert_eq!(runs[0].total_ms.to_bits(), runs[1].total_ms.to_bits());
     }
 
     #[test]
     fn fleet_capture_observes_and_never_charges() {
-        // The fleet path must return the *same run* — total_ms to the bit,
-        // identical fingerprints and exchange volume — while its ledger
-        // replays the charged addends exactly (check_well_formed).
+        // The fleet path must return the *same run* as the untraced one —
+        // total_ms to the bit, identical fingerprints and exchange volume —
+        // while its ledger replays the charged addends exactly
+        // (check_well_formed).
         let g = gen::path(400);
-        let (base, base_traces) =
-            decompose_multi_traced(&g, &cfg(4), &SimOptions::default()).unwrap();
+        let base = decompose_multi(&g, &cfg(4), &SimOptions::default()).unwrap();
         let fr = decompose_multi_fleet(&g, &cfg(4), &SimOptions::default(), "path400").unwrap();
         assert_eq!(fr.run.total_ms.to_bits(), base.total_ms.to_bits());
         assert_eq!(fr.run.worker_fingerprints, base.worker_fingerprints);
         assert_eq!(fr.run.exchanged_bytes, base.exchanged_bytes);
-        assert_eq!(fr.traces.len(), base_traces.len());
-        for (a, b) in fr.traces.iter().zip(&base_traces) {
-            assert_eq!(a.counters_fingerprint(), b.counters_fingerprint());
-        }
+        let fps: Vec<u64> = fr.traces.iter().map(|t| t.counters_fingerprint()).collect();
+        assert_eq!(fps, base.worker_fingerprints);
         fr.fleet.check_well_formed().unwrap();
         assert_eq!(fr.fleet.rounds.len(), fr.run.rounds as usize);
         // path(400) over 4 shards bounces its 1-shell across borders

@@ -129,7 +129,7 @@ pub(crate) fn load_device(
 
 /// One peel round's device work — the scan launch feeding the stepped loop
 /// launch, on whichever [`ExecPath`] `cfg` selects. Bit-identical traces on
-/// all three paths (the fused path emits the same two launch records).
+/// both paths (the fused path emits the same two launch records).
 pub(crate) fn run_scan_loop(
     ctx: &mut GpuContext,
     k: u32,
@@ -140,10 +140,8 @@ pub(crate) fn run_scan_loop(
     // The loop kernel's blocks interact through `deg[]` while running
     // (cascading k-shell discovery), so it uses the lockstep stepped
     // launch: every wave advances each live block by one barrier-delimited
-    // iteration, matching concurrent hardware blocks. The fast path splits
-    // each iteration into a parallel plan and a wave-ordered commit; the
-    // fused path additionally runs the scan step and the stepped loop
-    // inside one engine entry — bit-identical traces all three ways.
+    // iteration, matching concurrent hardware blocks. The fused path runs
+    // the scan step and the stepped loop inside one engine entry.
     ctx.set_phase("Scan");
     match cfg.exec_path {
         ExecPath::Fused => ctx.launch_fused(
@@ -153,20 +151,8 @@ pub(crate) fn run_scan_loop(
             "Loop",
             "loop",
             |blk| loop_init(blk, &p),
-            |blk, st| loop_plan(blk, st, &p),
-            |blk, st, plan| loop_commit(blk, st, plan, k, &p),
+            |blk, st| loop_step_fast(blk, st, k, &p),
         )?,
-        ExecPath::Fast => {
-            ctx.launch("scan", cfg.launch, |blk| scan_kernel_fast(blk, k, &p))?;
-            ctx.set_phase("Loop");
-            ctx.launch_stepped_phased(
-                "loop",
-                cfg.launch,
-                |blk| loop_init(blk, &p),
-                |blk, st| loop_plan(blk, st, &p),
-                |blk, st, plan| loop_commit(blk, st, plan, k, &p),
-            )?;
-        }
         ExecPath::Reference => {
             ctx.launch("scan", cfg.launch, |blk| scan_kernel(blk, k, &p))?;
             ctx.set_phase("Loop");
@@ -183,9 +169,7 @@ pub(crate) fn run_scan_loop(
 
 /// A loop-only launch: consumes whatever frontier `buf`/`buf_e` already
 /// hold, without a fresh scan. The sharded engine uses this for border-seed
-/// sub-rounds — re-scanning would re-process the whole shard. With no scan
-/// to fuse against, the fused path degenerates to the fast stepped-phased
-/// launch (identical records by the fused two-record contract).
+/// sub-rounds — re-scanning would re-process the whole shard.
 pub(crate) fn run_loop_only(
     ctx: &mut GpuContext,
     k: u32,
@@ -194,26 +178,15 @@ pub(crate) fn run_loop_only(
 ) -> Result<(), SimError> {
     let p = st.kparams(cfg);
     ctx.set_phase("Loop");
-    match cfg.exec_path {
-        ExecPath::Fused | ExecPath::Fast => {
-            ctx.launch_stepped_phased(
-                "loop",
-                cfg.launch,
-                |blk| loop_init(blk, &p),
-                |blk, st| loop_plan(blk, st, &p),
-                |blk, st, plan| loop_commit(blk, st, plan, k, &p),
-            )?;
-        }
-        ExecPath::Reference => {
-            ctx.launch_stepped(
-                "loop",
-                cfg.launch,
-                |blk| loop_init(blk, &p),
-                |blk, st| loop_step(blk, st, k, &p),
-            )?;
-        }
-    }
-    Ok(())
+    ctx.launch_stepped(
+        "loop",
+        cfg.launch,
+        |blk| loop_init(blk, &p),
+        |blk, st| match cfg.exec_path {
+            ExecPath::Fused => loop_step_fast(blk, st, k, &p),
+            ExecPath::Reference => loop_step(blk, st, k, &p),
+        },
+    )
 }
 
 /// Frees the working set (device hygiene; peak accounting is unaffected).
@@ -748,8 +721,8 @@ struct LoopState {
     warp_compact: bool,
     warps: u64,
     compute_warps: u64,
-    /// Fast-path plan scratch, reused across waves: this wave's frontier
-    /// entries as `(v, pos_s, pos_e)`.
+    /// [`loop_plan`] → [`loop_commit`] scratch, reused across waves: this
+    /// wave's frontier entries as `(v, pos_s, pos_e)`.
     planned: Vec<(u32, u32, u32)>,
 }
 
@@ -951,20 +924,20 @@ fn process_vertex(
 }
 
 // ---------------------------------------------------------------------------
-// Fast path: the loop kernel split into a parallel plan + wave-ordered commit
+// Fast path: the loop kernel as a plan over the wave's frontier slice and a
+// commit of every `deg[]` decrement and append
 // ---------------------------------------------------------------------------
-//
-// `launch_stepped_phased` runs every live block's *plan* on the rayon pool,
-// then *commits* serially in the exact xorshift wave order. The split obeys
-// the determinism contract (DESIGN.md "Fast-path cost accounting"):
-//
-// * plan touches only launch-immutable device buffers (`offset`), the
-//   block's own private buffer region (`buf[b]` positions below this wave's
-//   floor `s`, written by earlier waves), and the block's own shared state;
-// * every access to device memory mutated during the launch (`deg`,
-//   appends into `buf[b]`, `gpu_count`) happens in commit, in wave order —
-//   so the cross-block interleaving, and with it every counter and result,
-//   is identical to the serial reference wave loop.
+
+/// One fast loop-kernel iteration: [`loop_plan`] then [`loop_commit`].
+fn loop_step_fast(
+    blk: &mut BlockCtx<'_>,
+    st: &mut LoopState,
+    k: u32,
+    p: &KParams<'_>,
+) -> Result<bool, KernelError> {
+    let plan = loop_plan(blk, st, p)?;
+    loop_commit(blk, st, plan, k, p)
+}
 
 /// The per-wave handoff from [`loop_plan`] to [`loop_commit`]. The planned
 /// frontier entries themselves ride in `LoopState::planned`.
@@ -975,10 +948,9 @@ enum LoopPlan {
     Batch { s: u64, batch: u64 },
 }
 
-/// Plan phase of one loop-kernel iteration: lines 3–12 of Algorithm 3 minus
-/// any mutable-device access — reads this wave's frontier slice and each
-/// vertex's adjacency range, charging exactly what the reference charges for
-/// the same lines.
+/// Plan half of one loop-kernel iteration: lines 3–12 of Algorithm 3 —
+/// reads this wave's frontier slice and each vertex's adjacency range,
+/// charging exactly what the reference charges for the same lines.
 fn loop_plan(
     blk: &mut BlockCtx<'_>,
     st: &mut LoopState,
@@ -986,9 +958,9 @@ fn loop_plan(
 ) -> Result<LoopPlan, KernelError> {
     let dev = blk.device;
     let offsets = dev.buffer(p.d_offsets);
-    // Plain-word view for the adjacency-range reads: `offset` is
-    // launch-immutable (the plan-side contract above), so the view is sound
-    // and the loads are plain `mov`s the compiler can reorder.
+    // Plain-word view for the adjacency-range reads: the loop kernel never
+    // writes `offset`, so the view is sound and the loads are plain `mov`s
+    // the compiler can reorder.
     let offs: &[u32] =
         unsafe { std::slice::from_raw_parts(offsets.as_ptr() as *const u32, offsets.len()) };
     let b = blk.block_idx as usize;
@@ -1032,9 +1004,9 @@ fn loop_plan(
     Ok(LoopPlan::Batch { s, batch })
 }
 
-/// Commit phase: lines 13–26 of Algorithm 3 — all `deg[]` traffic, all
+/// Commit half: lines 13–26 of Algorithm 3 — all `deg[]` traffic, all
 /// appends, the retirement `gpu_count` add, and the end-of-iteration
-/// s-advance. Runs serially in wave order on the exclusive lane.
+/// s-advance.
 fn loop_commit(
     blk: &mut BlockCtx<'_>,
     st: &mut LoopState,
@@ -1152,9 +1124,9 @@ fn append_fast(
 
 /// Commit-side twin of [`process_vertex`]: per-lane probes and decrements
 /// become one pass with bulk counter updates; ballot predicates stay packed
-/// as a mask. The recover branch (line 24) cannot fire on the exclusive
-/// commit lane — `deg[u]` cannot change between the probe and the decrement
-/// — matching the reference wave loop, where it also never executes.
+/// as a mask. The recover branch (line 24) cannot fire — blocks step one at
+/// a time, so `deg[u]` cannot change between the probe and the decrement —
+/// matching the reference wave loop, where it also never executes.
 #[allow(clippy::too_many_arguments)]
 fn process_vertex_fast(
     blk: &mut BlockCtx<'_>,

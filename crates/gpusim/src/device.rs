@@ -5,7 +5,7 @@
 //! footprint determines whether a graph fits on the GPU at all (Table V). All
 //! buffers are `u32`-typed — vertex IDs, degrees, offsets and counters are
 //! all 32-bit words on the device, as in the paper's kernels — and exposed
-//! as `AtomicU32` slices because thread blocks run concurrently.
+//! as `AtomicU32` slices so kernels write through the shared `&Device`.
 //!
 //! Beyond the current/peak scalars, the device keeps an **allocation
 //! ledger**: one [`LedgerEntry`] per `alloc`, recording what was allocated
@@ -139,9 +139,6 @@ pub struct Device {
     /// Stamp kept current by the owning context: active phase, logical
     /// launch/transfer sequence number, sim-clock ms.
     phase: &'static str,
-    /// In-launch phase-label override (see [`Device::set_launch_phase`]);
-    /// `None` between launches.
-    launch_phase: Option<&'static str>,
     seq: u64,
     time_ms: f64,
     /// Fine-grained ledger operation counter (allocs + frees).
@@ -159,7 +156,6 @@ impl Device {
             ledger: Vec::new(),
             phase_peaks: Vec::new(),
             phase: "main",
-            launch_phase: None,
             seq: 0,
             time_ms: 0.0,
             op: 0,
@@ -229,7 +225,7 @@ impl Device {
             elem_bytes: elem_bytes as u64,
             bytes,
             size_class: class,
-            phase: self.effective_phase(),
+            phase: self.phase,
             slot: id as u64,
             alloc_seq: self.seq,
             alloc_ms: self.time_ms,
@@ -282,37 +278,22 @@ impl Device {
 
     /// Records a phase change for the per-phase watermarks and subsequent
     /// ledger entries. Entering a phase floors its watermark at the current
-    /// live bytes, and clears any in-launch label override (a launch cannot
-    /// span a phase note, so a still-set override is an error-path leak).
+    /// live bytes.
     pub fn note_phase(&mut self, phase: &'static str) {
         self.phase = phase;
-        self.launch_phase = None;
         self.bump_phase_peak();
     }
 
-    /// Sets (or clears) the in-launch phase-label override. While a fused
-    /// launch is in flight the engine labels the device with the active
-    /// *step's* phase, so arena slots acquired inside the launch stamp
-    /// their ledger entries — and attribute their phase watermarks — to the
-    /// launch's phase instead of whatever sticky label the context last
-    /// noted.
-    pub fn set_launch_phase(&mut self, phase: Option<&'static str>) {
-        self.launch_phase = phase;
-    }
-
-    fn effective_phase(&self) -> &'static str {
-        self.launch_phase.unwrap_or(self.phase)
-    }
-
     fn bump_phase_peak(&mut self) {
-        let phase = self.effective_phase();
+        let phase = self.phase;
         match self.phase_peaks.iter_mut().find(|(p, _)| *p == phase) {
             Some((_, peak)) => *peak = (*peak).max(self.used),
             None => self.phase_peaks.push((phase, self.used)),
         }
     }
 
-    /// The words of a buffer. Atomic because blocks execute concurrently.
+    /// The words of a buffer. Atomic words let kernels write through the
+    /// shared `&Device` their blocks hold.
     pub fn buffer(&self, id: BufferId) -> &[AtomicU32] {
         &self.slots[id.0]
             .as_ref()
@@ -489,33 +470,6 @@ mod tests {
             (led[0].alloc_op, led[1].alloc_op, led[0].free_op),
             (0, 1, Some(2))
         );
-    }
-
-    #[test]
-    fn launch_phase_override_attributes_in_launch_allocs() {
-        let mut d = Device::new(1 << 20);
-        d.note_phase("Sync");
-        // A fused launch is in flight under the "Loop" step: arena slots it
-        // acquires must stamp and attribute to the launch's phase, not the
-        // sticky context label.
-        d.set_launch_phase(Some("Loop"));
-        let a = d.alloc("wavebuf", 64).unwrap(); // 256 B
-        assert_eq!(d.ledger()[0].phase, "Loop");
-        assert!(
-            d.phase_peaks().contains(&("Loop", 256)),
-            "override must route the watermark to the launch's phase: {:?}",
-            d.phase_peaks()
-        );
-        // The sticky label is untouched and takes over once cleared.
-        d.set_launch_phase(None);
-        let _b = d.alloc("host", 1).unwrap();
-        assert_eq!(d.ledger()[1].phase, "Sync");
-        // A phase note clears any stale override (error-path hygiene).
-        d.set_launch_phase(Some("Loop"));
-        d.note_phase("Result");
-        let _c = d.alloc("late", 1).unwrap();
-        assert_eq!(d.ledger()[2].phase, "Result");
-        d.free(a);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Kernel execution: grids, blocks, shared memory, and charging.
 //!
-//! [`GpuContext::launch`] runs a kernel closure once per thread block, with
-//! blocks genuinely executing in parallel on host threads (blocks are
-//! independent on hardware too — §III: "different thread blocks are
-//! independent in their execution"). Cross-block communication goes through
-//! device buffers with real atomics, so any interleaving the simulator
-//! produces is an interleaving the hardware could produce.
+//! [`GpuContext::launch`] runs a kernel closure once per thread block, in
+//! block order on the calling thread (blocks are independent on hardware —
+//! §III: "different thread blocks are independent in their execution" — so
+//! any serial order is an order the hardware could produce).
+//! [`GpuContext::launch_stepped`] advances interacting blocks in lockstep
+//! waves, and [`GpuContext::launch_fused`] chains the two as one engine
+//! entry. All three share one block loop and one wave loop, so every
+//! launch is deterministic at any rayon pool size. Cross-block
+//! communication goes through device buffers.
 //!
 //! The kernel closure receives a [`BlockCtx`] carrying the block's identity,
 //! its private shared memory, and the cost-model charging interface. Kernels
@@ -19,9 +22,7 @@ use crate::cost::{
 };
 use crate::device::{BufferId, Device, OomError, SizeClass};
 use crate::hostprof::{self, HostBucket, HostProfile, HostProfiler, Lap};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
 /// Simulation environment for a run: device cost constants, memory capacity,
 /// and an optional simulated-time budget.
@@ -221,17 +222,11 @@ pub struct BlockCtx<'a> {
     pub counters: Counters,
     shared: Vec<u32>,
     shared_capacity_bytes: u64,
-    /// True when the engine guarantees no other block is executing
-    /// concurrently on this device (serial launch path, stepped waves, the
-    /// commit phase of a phased launch). Lets the global-atomic helpers use
-    /// plain load/store instead of lock-prefixed RMWs — same values, same
-    /// charges, less host time.
-    exclusive: bool,
 }
 
 impl<'a> BlockCtx<'a> {
-    /// Builds a context, reusing a recycled shared-memory backing vector
-    /// when the arena has one (the capacity survives across launches).
+    /// Builds a context on a recycled shared-memory backing vector (its
+    /// capacity survives across launches).
     fn with_shared(
         device: &'a Device,
         block_idx: u32,
@@ -247,7 +242,6 @@ impl<'a> BlockCtx<'a> {
             counters: Counters::default(),
             shared,
             shared_capacity_bytes,
-            exclusive: false,
         }
     }
 
@@ -343,28 +337,21 @@ impl<'a> BlockCtx<'a> {
 
     /// *Uncharged* global `atomicAdd` for bulk-charged fast paths: the
     /// caller must add the matching `global_atomics` count itself (one `+=`
-    /// per warp/chunk instead of per lane). Exclusive-execution aware.
+    /// per warp/chunk instead of per lane). Blocks never run concurrently,
+    /// so a plain load/store is the atomic.
     #[inline]
     pub fn raw_atomic_add(&self, cell: &AtomicU32, delta: u32) -> u32 {
-        if self.exclusive {
-            let old = cell.load(Ordering::Relaxed);
-            cell.store(old.wrapping_add(delta), Ordering::Relaxed);
-            old
-        } else {
-            cell.fetch_add(delta, Ordering::AcqRel)
-        }
+        let old = cell.load(Ordering::Relaxed);
+        cell.store(old.wrapping_add(delta), Ordering::Relaxed);
+        old
     }
 
     /// *Uncharged* global `atomicSub`; see [`BlockCtx::raw_atomic_add`].
     #[inline]
     pub fn raw_atomic_sub(&self, cell: &AtomicU32, delta: u32) -> u32 {
-        if self.exclusive {
-            let old = cell.load(Ordering::Relaxed);
-            cell.store(old.wrapping_sub(delta), Ordering::Relaxed);
-            old
-        } else {
-            cell.fetch_sub(delta, Ordering::AcqRel)
-        }
+        let old = cell.load(Ordering::Relaxed);
+        cell.store(old.wrapping_sub(delta), Ordering::Relaxed);
+        old
     }
 
     /// *Uncharged* shared-memory read for bulk-charged fast paths (caller
@@ -499,30 +486,29 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
-/// Scratch buffers reused across stepped and fused launches — the wave
-/// order, per-block liveness, retired-counter slots, and carried
-/// shared-memory backings — so steady-state peel rounds allocate nothing
-/// per dispatch (the hostprof `arena`/`dispatch` buckets' remaining
-/// per-launch allocations).
+/// Launch scratch reused across launches — the wave order, per-block
+/// liveness, and one shared-memory backing per block — so steady-state
+/// launches allocate nothing per dispatch.
 #[derive(Default)]
 struct StepScratch {
     order: Vec<usize>,
     alive: Vec<bool>,
-    done: Vec<Option<Counters>>,
-    /// Per-block shared-memory backings carried across the fused launch's
-    /// step boundary (scan → loop) and across rounds, indexed by block.
-    carry: Vec<Vec<u32>>,
+    /// Per-block shared-memory backings, indexed by block; at least as many
+    /// as the widest launch so far.
+    shared: Vec<Vec<u32>>,
 }
 
 impl StepScratch {
-    /// Resets the wave-scheduling vectors for a `blocks`-block launch.
+    /// Resets the wave-scheduling vectors for a `blocks`-block launch and
+    /// makes sure every block has a backing.
     fn reset(&mut self, blocks: usize) {
         self.order.clear();
         self.order.extend(0..blocks);
         self.alive.clear();
         self.alive.resize(blocks, true);
-        self.done.clear();
-        self.done.resize(blocks, None);
+        if self.shared.len() < blocks {
+            self.shared.resize_with(blocks, Vec::new);
+        }
     }
 }
 
@@ -548,15 +534,11 @@ pub struct GpuContext {
     /// observability — feeds [`MemStats`](crate::MemStats) extrapolation.
     pub(crate) workload_vertices: u64,
     pub(crate) workload_arcs: u64,
-    /// Arena of recycled shared-memory backing vectors: a retiring block's
-    /// `Vec<u32>` goes back here and the next launch's blocks pop it, so
-    /// steady-state launches allocate nothing for shared memory.
-    shared_pool: Mutex<Vec<Vec<u32>>>,
     /// Recycled per-launch `Vec<Counters>` scratch (reused whenever
     /// per-block profiling is off and the vector isn't retained).
     counters_scratch: Vec<Counters>,
-    /// Recycled stepped/fused launch scratch (wave order, liveness,
-    /// retired counters, carried shared backings).
+    /// Recycled launch scratch (wave order, liveness, per-block shared
+    /// backings).
     step_scratch: StepScratch,
     /// Optional host-side wall-clock profiler ([`crate::hostprof`]).
     /// Observes only: attaching one changes no simulated quantity.
@@ -586,7 +568,6 @@ impl GpuContext {
             profile_blocks: false,
             workload_vertices: 0,
             workload_arcs: 0,
-            shared_pool: Mutex::new(Vec::new()),
             counters_scratch: Vec::new(),
             step_scratch: StepScratch::default(),
             hostprof: hostprof::from_env(),
@@ -618,24 +599,6 @@ impl GpuContext {
         p.note_allocs(self.phase, allocs.saturating_sub(self.host_alloc_mark));
         self.host_alloc_mark = allocs;
         Some(p.profile(label))
-    }
-
-    /// Pops a recycled shared-memory backing vector (or a fresh one).
-    fn pooled_shared(&self) -> Vec<u32> {
-        self.shared_pool
-            .lock()
-            .map(|mut p| p.pop().unwrap_or_default())
-            .unwrap_or_default()
-    }
-
-    /// Returns a block's shared-memory backing to the arena.
-    fn recycle_shared(&self, mut v: Vec<u32>) {
-        v.clear();
-        if let Ok(mut p) = self.shared_pool.lock() {
-            if p.len() < 256 {
-                p.push(v);
-            }
-        }
     }
 
     /// Sets the algorithm phase stamped onto subsequent launch and transfer
@@ -864,16 +827,9 @@ impl GpuContext {
         v
     }
 
-    /// Launches a kernel: runs `kernel` once per block (in parallel),
-    /// aggregates the counters, and advances the simulated clock.
-    ///
-    /// When the effective rayon fan-out is one thread (or the grid has one
-    /// block) the blocks run inline on this thread with recycled scratch —
-    /// no per-launch allocation, no parallel-map machinery, and
-    /// exclusive-execution atomics. The order-preserving parallel path and
-    /// the serial path produce bit-identical counters for any kernel that
-    /// is deterministic under block concurrency (the golden pool-size tests
-    /// pin this).
+    /// Launches a kernel: runs `kernel` once per block, in block order,
+    /// aggregates the counters, and advances the simulated clock. A failing
+    /// block aborts the launch before any later block runs.
     pub fn launch<F>(
         &mut self,
         name: &'static str,
@@ -881,71 +837,64 @@ impl GpuContext {
         kernel: F,
     ) -> Result<(), SimError>
     where
-        F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
+        F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError>,
     {
+        self.check_launch(cfg)?;
+        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
+        let mut scratch = std::mem::take(&mut self.step_scratch);
+        scratch.reset(cfg.blocks as usize);
+        let mut per_block = std::mem::take(&mut self.counters_scratch);
+        per_block.clear();
+        lap.lap(HostBucket::ArenaAlloc);
+        let r = self.run_blocks(cfg, &mut scratch.shared, &mut per_block, &kernel);
+        self.step_scratch = scratch;
+        if let Err(e) = r {
+            per_block.clear();
+            self.counters_scratch = per_block;
+            return Err(SimError::Kernel(e));
+        }
+        lap.lap(HostBucket::Dispatch);
+        self.finish_launch(name, cfg, per_block)
+    }
+
+    /// Entry checks of every launch: the time budget, then the block width.
+    fn check_launch(&self, cfg: LaunchConfig) -> Result<(), SimError> {
         self.check_limit()?;
         assert!(
             cfg.threads_per_block.is_multiple_of(32),
             "BLK_DIM must be a multiple of 32"
         );
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let device = &self.device;
-        let shared_cap = self.shared_capacity_bytes;
-        let mut per_block = std::mem::take(&mut self.counters_scratch);
-        per_block.clear();
-        lap.lap(HostBucket::ArenaAlloc);
-        if rayon::current_num_threads() <= 1 || cfg.blocks == 1 {
-            for b in 0..cfg.blocks {
-                let mut blk =
-                    BlockCtx::with_shared(device, b, cfg, shared_cap, self.pooled_shared());
-                blk.exclusive = true;
-                let r = kernel(&mut blk);
-                self.recycle_shared(std::mem::take(&mut blk.shared));
-                per_block.push(blk.counters);
-                if let Err(e) = r {
-                    self.counters_scratch = per_block;
-                    self.counters_scratch.clear();
-                    return Err(SimError::Kernel(e));
-                }
-            }
-        } else {
-            if let Some(p) = lap.profiler() {
-                let pool = rayon::current_num_threads() as u32;
-                p.sample_util(self.phase, cfg.blocks.min(pool), pool);
-            }
-            let pool = &self.shared_pool;
-            let results: Vec<Result<Counters, KernelError>> = (0..cfg.blocks)
-                .into_par_iter()
-                .map(|b| {
-                    let shared = pool
-                        .lock()
-                        .map(|mut p| p.pop().unwrap_or_default())
-                        .unwrap_or_default();
-                    let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-                    let r = kernel(&mut blk);
-                    let mut v = std::mem::take(&mut blk.shared);
-                    v.clear();
-                    if let Ok(mut p) = pool.lock() {
-                        if p.len() < 256 {
-                            p.push(v);
-                        }
-                    }
-                    r.map(|()| blk.counters)
-                })
-                .collect();
-            for r in results {
-                match r {
-                    Ok(c) => per_block.push(c),
-                    Err(e) => {
-                        self.counters_scratch = per_block;
-                        self.counters_scratch.clear();
-                        return Err(SimError::Kernel(e));
-                    }
-                }
-            }
+        Ok(())
+    }
+
+    /// The block loop: runs `kernel` on blocks `0..cfg.blocks` in order,
+    /// each on its own backing from `shared`, and pushes every executed
+    /// block's counters onto `per_block`. Stops at the first error.
+    fn run_blocks<F>(
+        &self,
+        cfg: LaunchConfig,
+        shared: &mut [Vec<u32>],
+        per_block: &mut Vec<Counters>,
+        kernel: &F,
+    ) -> Result<(), KernelError>
+    where
+        F: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError>,
+    {
+        for b in 0..cfg.blocks {
+            let backing = &mut shared[b as usize];
+            let mut blk = BlockCtx::with_shared(
+                &self.device,
+                b,
+                cfg,
+                self.shared_capacity_bytes,
+                std::mem::take(backing),
+            );
+            let r = kernel(&mut blk);
+            *backing = blk.shared;
+            per_block.push(blk.counters);
+            r?;
         }
-        lap.lap(HostBucket::Dispatch);
-        self.finish_launch(name, cfg, per_block)
+        Ok(())
     }
 
     /// Shared launch epilogue: prices the per-block counters with the
@@ -1025,243 +974,97 @@ impl GpuContext {
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
         FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
     {
-        self.check_limit()?;
-        assert!(
-            cfg.threads_per_block.is_multiple_of(32),
-            "BLK_DIM must be a multiple of 32"
-        );
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let device = &self.device;
-        let shared_cap = self.shared_capacity_bytes;
-
-        let mut blocks: Vec<(BlockCtx<'_>, S, bool)> = Vec::with_capacity(cfg.blocks as usize);
-        for b in 0..cfg.blocks {
-            let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, self.pooled_shared());
-            // the wave loop below runs on one host thread: no block ever
-            // executes concurrently with another, so atomics can be cheap
-            blk.exclusive = true;
-            let state = init(&mut blk).map_err(SimError::Kernel)?;
-            blocks.push((blk, state, true));
-        }
-        lap.lap(HostBucket::Dispatch);
-        // xorshift-based deterministic wave shuffle
-        let mut rng = self.schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut order: Vec<usize> = (0..blocks.len()).collect();
-        let mut live = blocks.len();
-        while live > 0 {
-            // Fisher–Yates with the xorshift stream
-            for i in (1..order.len()).rev() {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                let j = (rng % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-            for &i in &order {
-                let (blk, state, alive) = &mut blocks[i];
-                if !*alive {
-                    continue;
-                }
-                match step(blk, state) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        *alive = false;
-                        live -= 1;
-                    }
-                    Err(e) => return Err(SimError::Kernel(e)),
-                }
-            }
-        }
-        // the reference engine's wave loop is one serial lane end to end
-        lap.lap(HostBucket::CommitSerial);
-
-        let mut per_block = Vec::with_capacity(blocks.len());
-        for (blk, _, _) in &mut blocks {
-            per_block.push(blk.counters);
-            self.recycle_shared(std::mem::take(&mut blk.shared));
-        }
-        drop(blocks); // release the device borrow before the &mut epilogue
-        lap.lap(HostBucket::ArenaAlloc);
-        self.finish_launch(name, cfg, per_block)
+        self.run_waves(name, cfg, HostBucket::Dispatch, init, step)
     }
 
-    /// Two-phase variant of [`GpuContext::launch_stepped`] that can run each
-    /// wave's live blocks on the rayon pool **without changing a single
-    /// observable bit** relative to the serial wave loop.
-    ///
-    /// Each wave is split into:
-    ///
-    /// * **plan** — runs once per live block, *in parallel* when the rayon
-    ///   fan-out allows. The determinism contract (DESIGN.md "Fast-path
-    ///   cost accounting"): a plan may read device buffers that are
-    ///   immutable for the whole launch, read/write its own block's shared
-    ///   memory and state, and charge counters — it must **not** read or
-    ///   write any device memory that any block mutates during the launch.
-    /// * **commit** — runs serially in the exact xorshift wave order,
-    ///   performing every mutable-device-memory access (with
-    ///   exclusive-execution atomics, since the commit lane is serial).
-    ///
-    /// Because every access to mutable device state happens in commit, in
-    /// wave order, the interleaving — and therefore every counter, golden
-    /// fingerprint, and result — is identical to running
-    /// `launch_stepped(init, |blk, st| { let p = plan(blk, st)?;
-    /// commit(blk, st, p) })`. With a fan-out of one the phases are fused
-    /// exactly like that, with zero scheduling overhead.
-    pub fn launch_stepped_phased<S, P, FI, FP, FC>(
+    /// The wave loop behind [`GpuContext::launch_stepped`] and the loop step
+    /// of [`GpuContext::launch_fused`]: initialises every block in block
+    /// order, then steps the live blocks wave by wave in the xorshift order
+    /// until all retire. The init loop's host time goes to `init_bucket`.
+    fn run_waves<S, FI, FS>(
         &mut self,
         name: &'static str,
         cfg: LaunchConfig,
+        init_bucket: HostBucket,
         init: FI,
-        plan: FP,
-        commit: FC,
+        step: FS,
     ) -> Result<(), SimError>
     where
-        S: Send,
-        P: Send,
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError> + Sync,
-        FC: Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
+        FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
     {
-        self.check_limit()?;
-        assert!(
-            cfg.threads_per_block.is_multiple_of(32),
-            "BLK_DIM must be a multiple of 32"
-        );
+        self.check_launch(cfg)?;
         let mut lap = Lap::start(self.hostprof.clone(), self.phase);
+        let n = cfg.blocks as usize;
         let mut scratch = std::mem::take(&mut self.step_scratch);
-        scratch.reset(cfg.blocks as usize);
+        scratch.reset(n);
         let StepScratch {
-            ref mut order,
-            ref mut alive,
-            ref mut done,
-            ..
-        } = scratch;
+            order,
+            alive,
+            shared,
+        } = &mut scratch;
         let device = &self.device;
         let shared_cap = self.shared_capacity_bytes;
-        let parallel = rayon::current_num_threads() > 1;
-
-        let mut slots: Vec<Option<(BlockCtx<'_>, S)>> = Vec::with_capacity(cfg.blocks as usize);
+        let mut blocks = Vec::with_capacity(n);
         for b in 0..cfg.blocks {
-            let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, self.pooled_shared());
-            blk.exclusive = true;
-            let state = init(&mut blk).map_err(SimError::Kernel)?;
-            slots.push(Some((blk, state)));
+            let backing = std::mem::take(&mut shared[b as usize]);
+            let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, backing);
+            let state = init(&mut blk)?;
+            blocks.push((blk, state));
         }
-        lap.lap(HostBucket::Dispatch);
-        // identical xorshift wave shuffle to `launch_stepped`
+        lap.lap(init_bucket);
+        // xorshift-based deterministic wave shuffle
         let mut rng = self.schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut live = slots.len();
+        let mut live = n;
         while live > 0 {
-            for i in (1..order.len()).rev() {
+            // Fisher–Yates with the xorshift stream
+            for i in (1..n).rev() {
                 rng ^= rng << 13;
                 rng ^= rng >> 7;
                 rng ^= rng << 17;
-                let j = (rng % (i as u64 + 1)) as usize;
-                order.swap(i, j);
+                order.swap(i, (rng % (i as u64 + 1)) as usize);
             }
-            if parallel && live > 1 {
-                // Phase 1: pull the wave's live blocks out in wave order and
-                // plan them on the pool (order-preserving map).
-                let wave: Vec<(usize, BlockCtx<'_>, S)> = order
-                    .iter()
-                    .filter(|&&i| alive[i])
-                    .map(|&i| {
-                        let (blk, st) = slots[i].take().expect("live block present");
-                        (i, blk, st)
-                    })
-                    .collect();
-                // shuffle + wave extraction is scheduler orchestration
-                lap.lap(HostBucket::SchedulerWait);
-                if let Some(p) = lap.profiler() {
-                    let pool = rayon::current_num_threads() as u32;
-                    p.sample_util(self.phase, (live as u32).min(pool), pool);
+            for &i in order.iter() {
+                let (blk, state) = &mut blocks[i];
+                if alive[i] && !step(blk, state)? {
+                    alive[i] = false;
+                    live -= 1;
                 }
-                let planned: Vec<(usize, BlockCtx<'_>, S, Result<P, KernelError>)> = wave
-                    .into_par_iter()
-                    .map(|(i, mut blk, mut st)| {
-                        blk.exclusive = false; // plans genuinely run concurrently
-                        let p = plan(&mut blk, &mut st);
-                        (i, blk, st, p)
-                    })
-                    .collect();
-                lap.lap(HostBucket::PlanParallel);
-                // Phase 2: commit serially in the same wave order.
-                for (i, mut blk, mut st, p) in planned {
-                    blk.exclusive = true;
-                    match p.and_then(|p| commit(&mut blk, &mut st, p)) {
-                        Ok(true) => {
-                            slots[i] = Some((blk, st));
-                        }
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            done[i] = Some(blk.counters);
-                            self.recycle_shared(std::mem::take(&mut blk.shared));
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                lap.lap(HostBucket::CommitSerial);
-            } else {
-                // Serial specialization: fuse plan+commit per block, exactly
-                // the `launch_stepped` wave loop.
-                for &i in order.iter() {
-                    if !alive[i] {
-                        continue;
-                    }
-                    let (blk, st) = slots[i].as_mut().expect("live block present");
-                    match plan(blk, st).and_then(|p| commit(blk, st, p)) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            let (mut blk, _) = slots[i].take().expect("live block present");
-                            done[i] = Some(blk.counters);
-                            self.recycle_shared(std::mem::take(&mut blk.shared));
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                // the fused wave (shuffle + plan + commit) is one serial lane
-                lap.lap(HostBucket::CommitSerial);
             }
+            lap.lap(HostBucket::CommitSerial);
         }
-        drop(slots); // release the device borrow before the &mut epilogue
         let mut per_block = std::mem::take(&mut self.counters_scratch);
         per_block.clear();
-        per_block.extend(done.drain(..).map(|c| c.expect("all blocks retired")));
+        for (b, (blk, _)) in blocks.into_iter().enumerate() {
+            per_block.push(blk.counters);
+            shared[b] = blk.shared;
+        }
         self.step_scratch = scratch;
         lap.lap(HostBucket::ArenaAlloc);
         self.finish_launch(name, cfg, per_block)
     }
 
-    /// Fused persistent-style round launch: runs a one-shot `scan` kernel
-    /// and a stepped `loop` (init/plan/commit, as in
-    /// [`GpuContext::launch_stepped_phased`]) as the two steps of a single
-    /// engine entry, so per-round dispatch, arena acquisition, and
-    /// scheduler setup are paid once and block scratch (shared-memory
-    /// backings, wave vectors) is carried across the step boundary instead
-    /// of round-tripping through the shared-pool mutex.
+    /// Fused round launch: a one-shot `scan` kernel and a stepped `loop` as
+    /// the two steps of one engine entry. Block shared-memory backings carry
+    /// across the step boundary.
     ///
-    /// **Observability contract** (DESIGN.md "Fused execution & the
-    /// single-plan contract"): the fused launch emits exactly what the
-    /// two-launch sequence
+    /// **Observability contract** (DESIGN.md "Fused execution"): the fused
+    /// launch emits exactly what the two-launch sequence
     ///
     /// ```text
     /// set_phase(scan_phase); launch(scan_name, ..);
-    /// set_phase(loop_phase); launch_stepped_phased(loop_name, ..);
+    /// set_phase(loop_phase); launch_stepped(loop_name, ..);
     /// ```
     ///
     /// would — two [`LaunchRecord`]s with the same names, phases, counters,
     /// timestamps, and roofline splits, the same device phase notes and
-    /// ledger stamps, and the same error values — at any rayon pool size.
-    /// The caller sets the scan phase before calling; the engine replays
-    /// the loop-phase transition internally between the steps. Host-profile
-    /// time the two-launch path booked as the loop launch's `dispatch`
-    /// (slot setup + init) is booked under [`HostBucket::FusedStep`], the
-    /// carried-state handoff.
+    /// ledger stamps, and the same error values. The caller sets the scan
+    /// phase before calling; the engine replays the loop-phase transition
+    /// between the steps. Host time the two-launch sequence books as the
+    /// loop launch's `dispatch` (block init) is booked under
+    /// [`HostBucket::FusedStep`].
     #[allow(clippy::too_many_arguments)]
-    pub fn launch_fused<S, P, FK, FI, FP, FC>(
+    pub fn launch_fused<S, FK, FI, FS>(
         &mut self,
         scan_name: &'static str,
         cfg: LaunchConfig,
@@ -1269,200 +1072,16 @@ impl GpuContext {
         loop_phase: &'static str,
         loop_name: &'static str,
         init: FI,
-        plan: FP,
-        commit: FC,
+        step: FS,
     ) -> Result<(), SimError>
     where
-        S: Send,
-        P: Send,
-        FK: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError> + Sync,
+        FK: Fn(&mut BlockCtx<'_>) -> Result<(), KernelError>,
         FI: Fn(&mut BlockCtx<'_>) -> Result<S, KernelError>,
-        FP: Fn(&mut BlockCtx<'_>, &mut S) -> Result<P, KernelError> + Sync,
-        FC: Fn(&mut BlockCtx<'_>, &mut S, P) -> Result<bool, KernelError>,
+        FS: Fn(&mut BlockCtx<'_>, &mut S) -> Result<bool, KernelError>,
     {
-        self.check_limit()?;
-        assert!(
-            cfg.threads_per_block.is_multiple_of(32),
-            "BLK_DIM must be a multiple of 32"
-        );
-        let n = cfg.blocks as usize;
-
-        // ---- step 1: scan (the block schedule of `launch`) --------------
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        // while the launch is in flight, ledger entries label with the
-        // active step's phase, not the sticky context label
-        self.device.set_launch_phase(Some(self.phase));
-        let mut scratch = std::mem::take(&mut self.step_scratch);
-        scratch.reset(n);
-        // top up the carried backings to one per block (first round only —
-        // afterwards the loop step leaves exactly one behind per block)
-        while scratch.carry.len() < n {
-            scratch.carry.push(self.pooled_shared());
-        }
-        scratch.carry.truncate(n);
-        let mut per_block = std::mem::take(&mut self.counters_scratch);
-        per_block.clear();
-        lap.lap(HostBucket::ArenaAlloc);
-        let scan_err: Option<KernelError> = {
-            let device = &self.device;
-            let shared_cap = self.shared_capacity_bytes;
-            let mut err = None;
-            if rayon::current_num_threads() <= 1 || cfg.blocks == 1 {
-                for b in 0..cfg.blocks {
-                    let shared = std::mem::take(&mut scratch.carry[b as usize]);
-                    let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-                    blk.exclusive = true;
-                    let r = scan_kernel(&mut blk);
-                    scratch.carry[b as usize] = std::mem::take(&mut blk.shared);
-                    per_block.push(blk.counters);
-                    if let Err(e) = r {
-                        err = Some(e);
-                        break;
-                    }
-                }
-            } else {
-                if let Some(p) = lap.profiler() {
-                    let pool = rayon::current_num_threads() as u32;
-                    p.sample_util(self.phase, cfg.blocks.min(pool), pool);
-                }
-                let inputs: Vec<(u32, Vec<u32>)> =
-                    (0..cfg.blocks).zip(scratch.carry.drain(..)).collect();
-                let results: Vec<(Result<(), KernelError>, Counters, Vec<u32>)> = inputs
-                    .into_par_iter()
-                    .map(|(b, shared)| {
-                        let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-                        let r = scan_kernel(&mut blk);
-                        (r, blk.counters, std::mem::take(&mut blk.shared))
-                    })
-                    .collect();
-                for (r, c, shared) in results {
-                    scratch.carry.push(shared);
-                    per_block.push(c);
-                    if let (Err(e), None) = (r, &err) {
-                        err = Some(e);
-                    }
-                }
-            }
-            err
-        };
-        lap.lap(HostBucket::Dispatch);
-        self.device.set_launch_phase(None);
-        self.step_scratch = scratch;
-        if let Some(e) = scan_err {
-            self.counters_scratch = per_block;
-            self.counters_scratch.clear();
-            return Err(SimError::Kernel(e));
-        }
-        self.finish_launch(scan_name, cfg, per_block)?;
-
-        // ---- handoff: replay the loop-phase transition ------------------
+        self.launch(scan_name, cfg, scan_kernel)?;
         self.set_phase(loop_phase);
-        self.device.set_launch_phase(Some(loop_phase));
-        // (the two-launch path re-checks the time limit when entering the
-        // loop launch; time_s is unchanged since finish_launch's trailing
-        // check just passed, so the predicate is identical — skip it)
-
-        // ---- step 2: loop (the wave schedule of `launch_stepped_phased`)
-        let mut lap = Lap::start(self.hostprof.clone(), self.phase);
-        let mut scratch = std::mem::take(&mut self.step_scratch);
-        let StepScratch {
-            ref mut order,
-            ref mut alive,
-            ref mut done,
-            ref mut carry,
-        } = scratch;
-        let device = &self.device;
-        let shared_cap = self.shared_capacity_bytes;
-        let parallel = rayon::current_num_threads() > 1;
-
-        let mut slots: Vec<Option<(BlockCtx<'_>, S)>> = Vec::with_capacity(n);
-        for b in 0..cfg.blocks {
-            let shared = std::mem::take(&mut carry[b as usize]);
-            let mut blk = BlockCtx::with_shared(device, b, cfg, shared_cap, shared);
-            blk.exclusive = true;
-            let state = init(&mut blk).map_err(SimError::Kernel)?;
-            slots.push(Some((blk, state)));
-        }
-        lap.lap(HostBucket::FusedStep);
-        // identical xorshift wave shuffle to `launch_stepped`
-        let mut rng = self.schedule_seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut live = slots.len();
-        while live > 0 {
-            for i in (1..order.len()).rev() {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                let j = (rng % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-            if parallel && live > 1 {
-                let wave: Vec<(usize, BlockCtx<'_>, S)> = order
-                    .iter()
-                    .filter(|&&i| alive[i])
-                    .map(|&i| {
-                        let (blk, st) = slots[i].take().expect("live block present");
-                        (i, blk, st)
-                    })
-                    .collect();
-                lap.lap(HostBucket::SchedulerWait);
-                if let Some(p) = lap.profiler() {
-                    let pool = rayon::current_num_threads() as u32;
-                    p.sample_util(self.phase, (live as u32).min(pool), pool);
-                }
-                let planned: Vec<(usize, BlockCtx<'_>, S, Result<P, KernelError>)> = wave
-                    .into_par_iter()
-                    .map(|(i, mut blk, mut st)| {
-                        blk.exclusive = false; // plans genuinely run concurrently
-                        let p = plan(&mut blk, &mut st);
-                        (i, blk, st, p)
-                    })
-                    .collect();
-                lap.lap(HostBucket::PlanParallel);
-                for (i, mut blk, mut st, p) in planned {
-                    blk.exclusive = true;
-                    match p.and_then(|p| commit(&mut blk, &mut st, p)) {
-                        Ok(true) => {
-                            slots[i] = Some((blk, st));
-                        }
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            done[i] = Some(blk.counters);
-                            carry[i] = std::mem::take(&mut blk.shared);
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                lap.lap(HostBucket::CommitSerial);
-            } else {
-                for &i in order.iter() {
-                    if !alive[i] {
-                        continue;
-                    }
-                    let (blk, st) = slots[i].as_mut().expect("live block present");
-                    match plan(blk, st).and_then(|p| commit(blk, st, p)) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            alive[i] = false;
-                            live -= 1;
-                            let (mut blk, _) = slots[i].take().expect("live block present");
-                            done[i] = Some(blk.counters);
-                            carry[i] = std::mem::take(&mut blk.shared);
-                        }
-                        Err(e) => return Err(SimError::Kernel(e)),
-                    }
-                }
-                lap.lap(HostBucket::CommitSerial);
-            }
-        }
-        drop(slots); // release the device borrow before the &mut epilogue
-        self.device.set_launch_phase(None);
-        let mut per_block = std::mem::take(&mut self.counters_scratch);
-        per_block.clear();
-        per_block.extend(done.drain(..).map(|c| c.expect("all blocks retired")));
-        self.step_scratch = scratch;
-        lap.lap(HostBucket::ArenaAlloc);
-        self.finish_launch(loop_name, cfg, per_block)
+        self.run_waves(loop_name, cfg, HostBucket::FusedStep, init, step)
     }
 
     /// Sets the wave-scheduling seed used by [`GpuContext::launch_stepped`].
@@ -1670,6 +1289,43 @@ mod tests {
     }
 
     #[test]
+    fn failing_block_stops_the_launch_at_every_pool_size() {
+        // The engine is serial at any rayon pool size: an error in block 0
+        // aborts the launch before block 1 runs, so later blocks' writes
+        // never land and the device ends in the same state everywhere.
+        let cfg = LaunchConfig {
+            blocks: 8,
+            threads_per_block: 32,
+        };
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let mut c = ctx();
+            let out = c.alloc("out", 8).unwrap();
+            let ran = AtomicU32::new(0);
+            let err = pool
+                .install(|| {
+                    c.launch("boom", cfg, |blk| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        let cell = &blk.device.buffer(out)[blk.block_idx as usize];
+                        blk.gwrite(cell, 7);
+                        if blk.block_idx == 0 {
+                            return Err(KernelError::Other("block 0".into()));
+                        }
+                        Ok(())
+                    })
+                })
+                .unwrap_err();
+            assert!(matches!(err, SimError::Kernel(KernelError::Other(_))));
+            assert_eq!(ran.into_inner(), 1, "later blocks ran at pool {threads}");
+            assert_eq!(c.device.read_vec(out), [7, 0, 0, 0, 0, 0, 0, 0]);
+            assert!(c.launches().is_empty());
+        }
+    }
+
+    #[test]
     fn stepped_launch_interleaves_blocks_fairly() {
         // Four blocks consume from a shared atomic pool, one item per wave.
         // Lockstep waves give each block ~a quarter of the pool — a
@@ -1860,9 +1516,9 @@ mod tests {
     #[test]
     fn fused_launch_matches_two_launch_sequence() {
         // The fused engine entry must emit exactly what the two-launch
-        // sequence (launch + set_phase + launch_stepped_phased) emits: two
-        // records with the same names, phases, counters, timestamps, and
-        // per-block cycles, plus the same device results.
+        // sequence (launch + set_phase + launch_stepped) emits: two records
+        // with the same names, phases, counters, timestamps, and per-block
+        // cycles, plus the same device results.
         let cfg = LaunchConfig {
             blocks: 4,
             threads_per_block: 32,
@@ -1878,11 +1534,8 @@ mod tests {
                 Ok(())
             };
             let init = move |_blk: &mut BlockCtx<'_>| Ok(0u32);
-            let plan = move |blk: &mut BlockCtx<'_>, _st: &mut u32| {
+            let step = move |blk: &mut BlockCtx<'_>, st: &mut u32| {
                 blk.charge_instr(1);
-                Ok(())
-            };
-            let commit = move |blk: &mut BlockCtx<'_>, st: &mut u32, _p: ()| {
                 let p = &blk.device.buffer(pool)[0];
                 if p.load(Ordering::Relaxed) == 0 {
                     return Ok(false);
@@ -1894,13 +1547,12 @@ mod tests {
             };
             c.set_phase("Scan");
             if fused {
-                c.launch_fused("scan", cfg, scan, "Loop", "loop", init, plan, commit)
+                c.launch_fused("scan", cfg, scan, "Loop", "loop", init, step)
                     .unwrap();
             } else {
                 c.launch("scan", cfg, scan).unwrap();
                 c.set_phase("Loop");
-                c.launch_stepped_phased("loop", cfg, init, plan, commit)
-                    .unwrap();
+                c.launch_stepped("loop", cfg, init, step).unwrap();
             }
             let out = c.dtoh(taken);
             (c, out)
@@ -1941,12 +1593,11 @@ mod tests {
                 "Loop",
                 "loop",
                 |_: &mut BlockCtx<'_>| Ok(0u32),
-                |_: &mut BlockCtx<'_>, _: &mut u32| Ok(()),
-                |_: &mut BlockCtx<'_>, _: &mut u32, _: ()| Ok(false),
+                |_: &mut BlockCtx<'_>, _: &mut u32| Ok(false),
             )
             .unwrap_err();
         assert!(matches!(err, SimError::Kernel(KernelError::Other(_))));
-        // commit-step error mid-wave
+        // loop-step error mid-wave
         let mut c = ctx();
         let err = c
             .launch_fused(
@@ -1956,11 +1607,10 @@ mod tests {
                 "Loop",
                 "loop",
                 |_: &mut BlockCtx<'_>| Ok(0u32),
-                |_: &mut BlockCtx<'_>, _: &mut u32| Ok(()),
-                |blk: &mut BlockCtx<'_>, st: &mut u32, _: ()| {
+                |blk: &mut BlockCtx<'_>, st: &mut u32| {
                     *st += 1;
                     if blk.block_idx == 1 && *st == 3 {
-                        return Err(KernelError::Other("commit boom".into()));
+                        return Err(KernelError::Other("loop boom".into()));
                     }
                     Ok(*st < 5)
                 },

@@ -1,13 +1,12 @@
-//! Host-side wall-clock profiling: scoped spans, per-launch host-time
-//! buckets, and rayon-pool utilization sampling.
+//! Host-side wall-clock profiling: scoped spans and per-launch host-time
+//! buckets.
 //!
 //! Everything else in this crate measures *simulated* time — the
 //! deterministic clock the golden traces pin bit-for-bit. This module
 //! measures the opposite thing: where the **host** wall clock goes while the
-//! simulator runs (launch dispatch, the plan-parallel map, the serial commit
-//! lane, arena recycling, PCIe copy loops). That is the number ROADMAP
-//! item 5 optimizes, and it is nondeterministic by nature, so the contract
-//! is strict:
+//! simulator runs (launch dispatch, the wave loop, arena recycling, PCIe
+//! copy loops). That is the number ROADMAP item 5 optimizes, and it is
+//! nondeterministic by nature, so the contract is strict:
 //!
 //! * **Observes, never charges.** Attaching a [`HostProfiler`] to a
 //!   [`GpuContext`] changes no counter, no simulated timestamp, no
@@ -19,7 +18,8 @@
 //! * **Deterministic under an injected clock.** All timing goes through the
 //!   [`HostClock`] trait; tests inject [`FakeClock`] (a fixed step per
 //!   reading) so span trees and bucket tables are reproducible wherever the
-//!   underlying call sequence is (i.e. at rayon pool size 1).
+//!   underlying call sequence is (the launch engine's is, at every rayon
+//!   pool size).
 //!
 //! Spans are hierarchical RAII guards ([`HostProfiler::span`]) kept in
 //! per-thread buffers (the rayon shim spawns fresh scoped worker threads per
@@ -134,7 +134,7 @@ impl HostClock for WallClock {
 /// Deterministic test clock: every reading advances a fixed step, so a
 /// deterministic *call sequence* yields deterministic timestamps and
 /// durations. (Under concurrency the tick assignment races — use it for
-/// byte-stable goldens only at rayon pool size 1.)
+/// byte-stable goldens only on single-threaded call sequences.)
 #[derive(Debug)]
 pub struct FakeClock {
     ticks: AtomicU64,
@@ -168,20 +168,20 @@ impl HostClock for FakeClock {
 /// bucket, so per-phase bucket sums ≈ host time inside the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostBucket {
-    /// Per-launch fixed work: block setup/init loops, plain-launch block
+    /// Per-launch fixed work: block init loops, plain-launch block
     /// execution, counter pricing, and record bookkeeping.
     Dispatch,
-    /// The phased scheduler's parallel plan map (rayon fan-out).
+    /// Never charged: the engine runs no parallel plan phase. Kept so the
+    /// bucket table keeps its seven columns; always reads 0.
     PlanParallel,
-    /// The serial commit lane: phased commits in wave order, plus the whole
-    /// fused wave loop of the serial specialization and the reference
-    /// stepped engine (both are serial lanes by construction).
+    /// The wave loop of a stepped launch: the xorshift shuffle and every
+    /// block step, booked once per wave.
     CommitSerial,
-    /// Arena traffic: taking/recycling pooled shared-memory and counter
-    /// scratch at launch granularity.
+    /// Arena traffic: taking/recycling shared-memory and counter scratch at
+    /// launch granularity.
     ArenaAlloc,
-    /// Wave orchestration of the phased parallel path: the xorshift
-    /// shuffle and pulling the wave's live blocks into dispatch order.
+    /// Never charged: the engine has no scheduler to wait on. Kept so the
+    /// bucket table keeps its seven columns; always reads 0.
     SchedulerWait,
     /// Host↔device copy loops and transfer bookkeeping.
     Transfer,
@@ -268,9 +268,6 @@ struct PhaseAccum {
     bucket_s: [f64; HostBucket::ALL.len()],
     launches: u64,
     allocs: u64,
-    util_samples: u64,
-    util_busy_sum: u64,
-    util_pool: u32,
 }
 
 impl PhaseAccum {
@@ -280,9 +277,6 @@ impl PhaseAccum {
             bucket_s: [0.0; HostBucket::ALL.len()],
             launches: 0,
             allocs: 0,
-            util_samples: 0,
-            util_busy_sum: 0,
-            util_pool: 0,
         }
     }
 }
@@ -418,16 +412,6 @@ impl HostProfiler {
         phase_accum(&mut phases, phase).allocs += n;
     }
 
-    /// Samples rayon pool utilization for `phase`: `busy` workers active of
-    /// a `pool`-sized pool (one sample per parallel region).
-    pub fn sample_util(&self, phase: &'static str, busy: u32, pool: u32) {
-        let mut phases = self.inner.phases.lock().unwrap();
-        let acc = phase_accum(&mut phases, phase);
-        acc.util_samples += 1;
-        acc.util_busy_sum += busy as u64;
-        acc.util_pool = acc.util_pool.max(pool);
-    }
-
     /// Records a timestamped point event (e.g. a dataset-cache hit).
     pub fn event(&self, category: &str, label: impl Into<String>) {
         let t_s = self.now_s();
@@ -459,13 +443,9 @@ impl HostProfiler {
                 scheduler_wait_s: acc.bucket_s[HostBucket::SchedulerWait.idx()],
                 transfer_s: acc.bucket_s[HostBucket::Transfer.idx()],
                 fused_step_s: acc.bucket_s[HostBucket::FusedStep.idx()],
-                util_samples: acc.util_samples,
-                avg_busy_workers: if acc.util_samples == 0 {
-                    0.0
-                } else {
-                    acc.util_busy_sum as f64 / acc.util_samples as f64
-                },
-                pool_threads: acc.util_pool,
+                util_samples: 0,
+                avg_busy_workers: 0.0,
+                pool_threads: 0,
             })
             .collect();
         drop(phases);
@@ -655,11 +635,12 @@ pub struct HostPhase {
     pub transfer_s: f64,
     /// [`HostBucket::FusedStep`] seconds.
     pub fused_step_s: f64,
-    /// Number of pool-utilization samples taken in this phase.
+    /// Pool-utilization samples; always 0, because launches run no parallel
+    /// region.
     pub util_samples: u64,
-    /// Mean busy workers per parallel region (0 when never sampled).
+    /// Mean busy workers per parallel region; always 0.
     pub avg_busy_workers: f64,
-    /// Largest rayon pool observed for this phase's parallel regions.
+    /// Largest rayon pool seen by a parallel region; always 0.
     pub pool_threads: u32,
 }
 
@@ -774,7 +755,13 @@ impl HostProfile {
     /// Validates structural well-formedness: within each thread, any two
     /// spans are either disjoint or nested (laminar intervals), and a
     /// strictly-contained span has strictly greater depth.
+    ///
+    /// End times are re-derived as `start_s + dur_s`, which rounds: two
+    /// spans closed by the same clock reading can come out an ulp apart.
+    /// Instants closer than 1 ps therefore compare equal; distinct clock
+    /// readings are at least 1 ns apart, so no real overlap hides in it.
     pub fn check_well_formed(&self) -> Result<(), String> {
+        let le = |x: f64, y: f64| x <= y + 1e-12;
         for t in &self.threads {
             for (i, a) in t.spans.iter().enumerate() {
                 if a.dur_s < 0.0 {
@@ -786,9 +773,9 @@ impl HostProfile {
                 for b in t.spans.iter().skip(i + 1) {
                     let (a0, a1) = (a.start_s, a.start_s + a.dur_s);
                     let (b0, b1) = (b.start_s, b.start_s + b.dur_s);
-                    let disjoint = a1 <= b0 || b1 <= a0;
-                    let a_in_b = b0 <= a0 && a1 <= b1;
-                    let b_in_a = a0 <= b0 && b1 <= a1;
+                    let disjoint = le(a1, b0) || le(b1, a0);
+                    let a_in_b = le(b0, a0) && le(a1, b1);
+                    let b_in_a = le(a0, b0) && le(b1, a1);
                     if !(disjoint || a_in_b || b_in_a) {
                         return Err(format!(
                             "thread {}: spans {} [{a0}, {a1}] and {} [{b0}, {b1}] overlap \
@@ -796,8 +783,8 @@ impl HostProfile {
                             t.thread, a.name, b.name
                         ));
                     }
-                    let b_strictly_in_a = b_in_a && (a0 < b0 || b1 < a1);
-                    let a_strictly_in_b = a_in_b && (b0 < a0 || a1 < b1);
+                    let b_strictly_in_a = b_in_a && !a_in_b;
+                    let a_strictly_in_b = a_in_b && !b_in_a;
                     if b_strictly_in_a && b.depth <= a.depth {
                         return Err(format!(
                             "thread {}: contained span {} (depth {}) not deeper than {} (depth {})",
@@ -996,6 +983,38 @@ mod tests {
     }
 
     #[test]
+    fn well_formedness_rejects_crossing_spans_but_not_rounding() {
+        let check = |ends: [f64; 2]| {
+            let span = |name: &str, depth, start_s: f64, end_s: f64| HostSpan {
+                name: name.into(),
+                depth,
+                start_s,
+                dur_s: end_s - start_s,
+                allocs: 0,
+            };
+            HostProfile {
+                schema_version: HOSTPROF_SCHEMA_VERSION,
+                label: "t".into(),
+                total_s: 1.0,
+                host_allocs: 0,
+                host_alloc_bytes: 0,
+                phases: Vec::new(),
+                threads: vec![HostThread {
+                    thread: 0,
+                    spans: vec![span("a", 0, 3e-6, ends[0]), span("b", 1, 9e-6, ends[1])],
+                }],
+                events: Vec::new(),
+            }
+            .check_well_formed()
+        };
+        // closed by one clock reading: `start + dur` re-derives the two ends
+        // an ulp apart (20.999999999999995e-6 vs 21e-6)
+        assert!(check([21e-6, 21e-6]).is_ok());
+        // the child outlives its parent by one nanosecond
+        assert!(check([21e-6, 21.001e-6]).is_err());
+    }
+
+    #[test]
     fn buckets_accumulate_per_phase() {
         let p = HostProfiler::faked(100);
         p.add_bucket("Scan", HostBucket::Dispatch, 0.5);
@@ -1003,17 +1022,13 @@ mod tests {
         p.add_bucket("Loop", HostBucket::CommitSerial, 1.0);
         p.note_launch("Scan");
         p.note_launch("Scan");
-        p.sample_util("Loop", 6, 8);
-        p.sample_util("Loop", 2, 8);
         let prof = p.profile("t");
         let scan = prof.phases.iter().find(|r| r.phase == "Scan").unwrap();
         assert_eq!(scan.launches, 2);
         assert!((scan.dispatch_s - 0.75).abs() < 1e-12);
         let lp = prof.phases.iter().find(|r| r.phase == "Loop").unwrap();
         assert!((lp.commit_serial_s - 1.0).abs() < 1e-12);
-        assert_eq!(lp.util_samples, 2);
-        assert!((lp.avg_busy_workers - 4.0).abs() < 1e-12);
-        assert_eq!(lp.pool_threads, 8);
+        assert_eq!((lp.util_samples, lp.pool_threads), (0, 0));
         assert!((prof.attributed_s() - 1.75).abs() < 1e-12);
     }
 

@@ -10,9 +10,10 @@
 //!    shared memory; `__syncthreads`/`__syncwarp` barriers with
 //!    snapshot-consistent visibility; global-memory atomics
 //!    (`atomicAdd`/`atomicSub`); warp primitives (`__ballot_sync`,
-//!    `__shfl_sync`, `__popc`). Blocks genuinely run in parallel on host
-//!    threads; within a block, barrier-delimited phases execute
-//!    warp-by-warp with the visibility the barriers guarantee on hardware.
+//!    `__shfl_sync`, `__popc`). Blocks run one at a time on the calling
+//!    thread (lockstep waves for interacting blocks); within a block,
+//!    barrier-delimited phases execute warp-by-warp with the visibility the
+//!    barriers guarantee on hardware.
 //! 2. **A cost model** — every kernel accumulates per-block counters
 //!    (coalesced global transactions, atomics, shared-memory traffic, warp
 //!    instructions, barriers). Kernel time is a roofline:

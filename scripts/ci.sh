@@ -15,8 +15,8 @@ cargo test -q --workspace
 
 echo "== simulator wall-clock smoke budget =="
 # The simulator suite re-runs (already compiled) under a wall-clock ceiling:
-# a blow-up here means a host-side perf regression (e.g. the fused engine or
-# fast path silently falling back to per-lane charging) that the
+# a blow-up here means a host-side perf regression (e.g. the fused engine
+# silently falling back to per-lane charging) that the
 # simulated-time regression gate below cannot see. The suite takes ~15 s on
 # the reference machine; 120 s absorbs slow-VM phases while still catching
 # any order-of-magnitude host regression.
@@ -29,6 +29,13 @@ if (( smoke_elapsed > SMOKE_BUDGET_S )); then
   echo "ERROR: kcore-gpusim test suite exceeded the ${SMOKE_BUDGET_S}s wall-clock budget" >&2
   exit 1
 fi
+
+echo "== benchmark checks (perfbench API + lockfile) =="
+# The repository benchmark links the engine crates by path and builds with
+# --locked: an engine change that breaks the API it calls, or its
+# lockfile, fails here. Both steps share the benchmark's build directory.
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --locked --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --list > /dev/null
 
 echo "== bench regression gate =="
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601,wiki-Talk scripts/check_regression.sh

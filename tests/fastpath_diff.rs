@@ -1,16 +1,14 @@
-//! Differential tests: the three host execution paths against each other
-//! (DESIGN.md "Fast-path cost accounting" and "Fused execution & the
-//! single-plan contract").
+//! Differential tests: the fused execution path against the reference
+//! oracle (DESIGN.md "Fast-path cost accounting" and "Fused execution").
 //!
-//! [`kcore_gpu::ExecPath::Fused`] (the default) runs scan + loop inside one
-//! fused engine entry; [`kcore_gpu::ExecPath::Fast`] dispatches the same
-//! warp-vectorized kernels as two launches per round on the two-phase
-//! parallel wave scheduler; [`kcore_gpu::ExecPath::Reference`] retains the
-//! original per-access kernels on the serial wave loop. The contract is
-//! that the choice is **unobservable**: identical core numbers, identical
-//! per-phase counters, identical trace fingerprints, identical Perfetto
-//! timeline bytes — across every Table II variant, on randomized graphs,
-//! at every rayon pool size.
+//! [`kcore_gpu::ExecPath::Fused`] (the default) runs the warp-vectorized
+//! scan + loop kernels inside one fused engine entry;
+//! [`kcore_gpu::ExecPath::Reference`] retains the original per-access
+//! kernels as two launches per round. The contract is that the choice is
+//! **unobservable**: identical core numbers, identical per-phase counters,
+//! identical trace fingerprints, identical Perfetto timeline bytes —
+//! across every Table II variant, on randomized graphs, at every rayon
+//! pool size.
 
 use kcore_gpu::{ExecPath, PeelConfig};
 use kcore_gpusim::{LaunchConfig, SimOptions, Trace};
@@ -28,16 +26,11 @@ fn run(g: &Csr, cfg: &PeelConfig) -> (Vec<u32>, u32, String, String) {
 
 fn assert_paths_identical(g: &Csr, cfg: &PeelConfig, what: &str) {
     let reference = run(g, &cfg.with_exec_path(ExecPath::Reference));
-    for path in [ExecPath::Fused, ExecPath::Fast] {
-        let got = run(g, &cfg.with_exec_path(path));
-        assert_eq!(got.0, reference.0, "{what}: {path:?} core numbers diverged");
-        assert_eq!(got.1, reference.1, "{what}: {path:?} round count diverged");
-        assert_eq!(got.2, reference.2, "{what}: {path:?} trace JSON diverged");
-        assert_eq!(
-            got.3, reference.3,
-            "{what}: {path:?} Perfetto timeline diverged"
-        );
-    }
+    let got = run(g, &cfg.with_exec_path(ExecPath::Fused));
+    assert_eq!(got.0, reference.0, "{what}: core numbers diverged");
+    assert_eq!(got.1, reference.1, "{what}: round count diverged");
+    assert_eq!(got.2, reference.2, "{what}: trace JSON diverged");
+    assert_eq!(got.3, reference.3, "{what}: Perfetto timeline diverged");
 }
 
 fn small_cfg() -> PeelConfig {
@@ -103,9 +96,8 @@ fn identical_on_randomized_geometries() {
 
 #[test]
 fn identical_across_rayon_pool_sizes() {
-    // Pool size selects the engine's execution strategy (serial fused
-    // waves at 1, parallel plan phases above): the counters and
-    // fingerprints must not notice.
+    // The engine is serial at every pool size: the counters and
+    // fingerprints must not notice the pool.
     let g = gen::rmat(9, 2_000, gen::RmatParams::graph500(), 7);
     let cfg = small_cfg();
     let reference = run(&g, &cfg.with_exec_path(ExecPath::Reference));
@@ -114,21 +106,16 @@ fn identical_across_rayon_pool_sizes() {
             .num_threads(threads)
             .build()
             .unwrap();
-        for path in [ExecPath::Fused, ExecPath::Fast] {
-            let got = pool.install(|| run(&g, &cfg.with_exec_path(path)));
-            assert_eq!(
-                got.0, reference.0,
-                "{path:?} core numbers diverged at pool size {threads}"
-            );
-            assert_eq!(
-                got.2, reference.2,
-                "{path:?} trace diverged at pool size {threads}"
-            );
-            assert_eq!(
-                got.3, reference.3,
-                "{path:?} timeline diverged at pool size {threads}"
-            );
-        }
+        let got = pool.install(|| run(&g, &cfg));
+        assert_eq!(
+            got.0, reference.0,
+            "core numbers diverged at pool size {threads}"
+        );
+        assert_eq!(got.2, reference.2, "trace diverged at pool size {threads}");
+        assert_eq!(
+            got.3, reference.3,
+            "timeline diverged at pool size {threads}"
+        );
     }
 }
 
@@ -143,15 +130,13 @@ fn counter_fingerprints_match() {
             kcore_gpu::decompose_in(&mut ctx, &g, &cfg.with_exec_path(path)).unwrap();
             Trace::counters_fingerprint(&ctx.trace("fp"))
         };
-        let reference = fp(ExecPath::Reference);
-        assert_eq!(fp(ExecPath::Fast), reference);
-        assert_eq!(fp(ExecPath::Fused), reference);
+        assert_eq!(fp(ExecPath::Fused), fp(ExecPath::Reference));
     }
 }
 
 #[test]
 fn overflow_errors_are_path_invariant() {
-    // The fast path must fail exactly where the reference fails, with the
+    // The fused path must fail exactly where the reference fails, with the
     // same error class (no ring buffer + tiny capacity ⇒ overflow).
     let g = gen::complete(64);
     let cfg = PeelConfig {
@@ -168,7 +153,5 @@ fn overflow_errors_are_path_invariant() {
             .unwrap_err()
             .to_string()
     };
-    let reference = err_of(ExecPath::Reference);
-    assert_eq!(err_of(ExecPath::Fast), reference);
-    assert_eq!(err_of(ExecPath::Fused), reference);
+    assert_eq!(err_of(ExecPath::Fused), err_of(ExecPath::Reference));
 }

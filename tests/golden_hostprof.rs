@@ -4,14 +4,11 @@
 //! Host profiles measure *wall-clock* time, so their values can never be
 //! golden-pinned directly — instead the tests inject the deterministic
 //! [`FakeClock`], under which every clock read returns the next tick of a
-//! fixed sequence. On a single-threaded rayon pool the engine takes its
-//! serial specializations, the profiler's clock-read sequence is exactly
-//! reproducible, and the full host-track Perfetto export is byte-stable —
-//! which the golden pins via an FNV-1a hash, alongside the span tree and
-//! per-phase launch counts. On larger pools only the *shape* is checked
-//! (span names, well-formedness, host process present): the parallel plan
-//! branch takes a different number of clock reads per wave, so tick values
-//! legitimately differ.
+//! fixed sequence. The engine is serial at every rayon pool size, so the
+//! profiler's clock-read sequence is exactly reproducible and the full
+//! host-track Perfetto export is byte-stable — which the golden pins via an
+//! FNV-1a hash, alongside the span tree and per-phase launch counts, at
+//! pools 1, 2 and 8 against the one checked-in file.
 //!
 //! After an intentional instrumentation change, regenerate:
 //!
@@ -90,19 +87,24 @@ const PEEL_SPANS: [&str; 4] = ["peel", "peel/setup", "peel/rounds", "peel/result
 
 #[test]
 fn fake_clock_hostprof_matches_checked_in_golden() {
-    // Pool size 1: the engine's serial specializations make the clock-read
-    // sequence (and hence every fake timestamp) exactly reproducible.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .unwrap();
-    let (profile, chrome) = pool.install(|| capture("hostprof-golden"));
-    let got = golden_of(&profile, &chrome);
+    // The serial engine makes the clock-read sequence (and hence every fake
+    // timestamp) exactly reproducible at every pool size.
+    let capture_at = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (profile, chrome) = pool.install(|| capture("hostprof-golden"));
+        golden_of(&profile, &chrome)
+    };
+    let got = capture_at(1);
 
     // determinism before comparing to disk: a second capture is bit-identical
-    let (profile2, chrome2) = pool.install(|| capture("hostprof-golden"));
-    assert_eq!(golden_of(&profile2, &chrome2), got);
-    assert_eq!(chrome2, chrome, "fake-clock Perfetto export not bit-stable");
+    assert_eq!(
+        capture_at(1),
+        got,
+        "fake-clock Perfetto export not bit-stable"
+    );
 
     let path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/peel_rmat9_hostprof.json");
@@ -127,13 +129,20 @@ fn fake_clock_hostprof_matches_checked_in_golden() {
          {HOSTPROF_SCHEMA_VERSION}; refusing to diff across schemas — regenerate with \
          KCORE_BLESS=1"
     );
-    assert_eq!(
-        got,
-        want,
-        "host-profile projection diverged from {}; if the instrumentation change is \
-         intentional, regenerate with KCORE_BLESS=1",
-        path.display()
-    );
+    for threads in [1usize, 2, 8] {
+        let got = if threads == 1 {
+            got.clone()
+        } else {
+            capture_at(threads)
+        };
+        assert_eq!(
+            got,
+            want,
+            "host-profile projection at pool {threads} diverged from {}; if the \
+             instrumentation change is intentional, regenerate with KCORE_BLESS=1",
+            path.display()
+        );
+    }
 }
 
 #[test]
