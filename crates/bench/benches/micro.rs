@@ -295,16 +295,14 @@ fn bench_graph_builder(c: &mut Criterion) {
 }
 
 /// The ingestion pipeline end to end: R-MAT sampling (serial single-stream
-/// vs chunked parallel), the CSR build paths over the same edge list, and
-/// the two edge-list text parsers over the same buffer. Each pair is a
-/// differential micro-benchmark of byte-identical implementations, so any
-/// gap is pure pipeline overhead/win.
+/// vs chunked parallel), the CSR build over the same edge list, and the two
+/// edge-list text parsers over the same buffer. Each pair is a differential
+/// micro-benchmark of byte-identical implementations, so any gap is pure
+/// pipeline overhead/win.
 fn bench_ingest(c: &mut Criterion) {
-    use kcore_graph::builder::{from_edges_with, BuildPath};
-
     let mut group = c.benchmark_group("ingest");
     let (scale, m, seed) = (14u32, 200_000u64, 11u64);
-    // The parallel paths short-circuit to their serial twins on a
+    // The parallel parser short-circuits to its serial twin on a
     // single-threaded pool, so pin a >=2-thread pool: on multi-core hosts
     // this measures the real speedup, on a 1-core host the (oversubscribed)
     // fan-out overhead — either way the parallel machinery runs.
@@ -336,13 +334,8 @@ fn bench_ingest(c: &mut Criterion) {
         .edges()
         .collect();
     let n = 1u32 << scale;
-    group.bench_function("csr_build_serial", |b| {
-        b.iter(|| black_box(from_edges_with(n, black_box(&edges), BuildPath::Serial)))
-    });
-    group.bench_function("csr_build_parallel", |b| {
-        b.iter(|| {
-            pool.install(|| black_box(from_edges_with(n, black_box(&edges), BuildPath::Parallel)))
-        })
+    group.bench_function("csr_build", |b| {
+        b.iter(|| black_box(kcore_graph::builder::from_edges(n, black_box(&edges))))
     });
 
     let text = {

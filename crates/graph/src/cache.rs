@@ -1,9 +1,8 @@
 //! On-disk dataset cache keyed by `KCORE_CACHE_DIR`.
 //!
 //! Generating a Table I stand-in is the dominant host cost of every bench
-//! binary (multiple full CSR builds per dataset: base generator +
-//! `plant_clique` + `relabel`), and each binary used to pay it again from
-//! scratch. With `KCORE_CACHE_DIR` set, [`load_or_generate`] generates each
+//! binary (base generator + `plant_clique` + `relabel`), and each binary
+//! used to pay it again from scratch. With `KCORE_CACHE_DIR` set, [`load_or_generate`] generates each
 //! dataset once, persists it in the KCSR binary format
 //! ([`crate::binio`]), and serves every later request from disk.
 //!

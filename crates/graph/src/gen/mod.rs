@@ -31,7 +31,6 @@ pub use web::web_crawl;
 /// regenerate instead of silently serving the old graphs.
 pub const GEN_VERSION: u32 = 1;
 
-use crate::builder::GraphBuilder;
 use crate::csr::{Csr, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -45,8 +44,49 @@ use rand::{Rng, SeedableRng};
 pub fn plant_clique(g: &Csr, size: u32, seed: u64) -> Csr {
     let n = g.num_vertices();
     assert!(size <= n, "clique size {size} exceeds |V|={n}");
+    let mut members = clique_members(n, size, seed);
+    members.sort_unstable();
+    // `g` is already a normalized simple CSR, so only the members' lists
+    // change: each becomes the sorted, deduplicated union of its old list
+    // and the other members. Merging those lists directly is O(arcs +
+    // size²) and skips a full [`GraphBuilder`] round trip;
+    // `plant_clique_matches_builder` pins bit-equality against it.
+    let size = members.len();
+    let mut offsets = Vec::with_capacity(n as usize + 1);
+    offsets.push(0u64);
+    let mut neighbors = Vec::with_capacity(g.num_arcs() as usize + size * size);
+    let mut next_member = 0;
+    for u in 0..n {
+        let old = g.neighbors(u);
+        if members.get(next_member) == Some(&u) {
+            next_member += 1;
+            let (mut i, mut j) = (0, 0);
+            while i < old.len() && j < size {
+                let (a, b) = (old[i], members[j]);
+                if a <= b {
+                    neighbors.push(a);
+                    i += 1;
+                    j += usize::from(a == b);
+                } else {
+                    if b != u {
+                        neighbors.push(b);
+                    }
+                    j += 1;
+                }
+            }
+            neighbors.extend_from_slice(&old[i..]);
+            neighbors.extend(members[j..].iter().filter(|&&w| w != u));
+        } else {
+            neighbors.extend_from_slice(old);
+        }
+        offsets.push(neighbors.len() as u64);
+    }
+    Csr::from_parts_unchecked(offsets, neighbors)
+}
+
+/// Reservoir-samples `size` distinct vertices of `0..n` (unsorted).
+fn clique_members(n: u32, size: u32, seed: u64) -> Vec<VertexId> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    // Reservoir-sample `size` distinct vertices.
     let mut members: Vec<VertexId> = (0..size).collect();
     for v in size..n {
         let j = rng.gen_range(0..=v as usize);
@@ -54,14 +94,7 @@ pub fn plant_clique(g: &Csr, size: u32, seed: u64) -> Csr {
             members[j] = v;
         }
     }
-    let mut b = GraphBuilder::with_num_vertices(n);
-    b.extend_edges(g.edges());
-    for i in 0..members.len() {
-        for j in (i + 1)..members.len() {
-            b.add_edge(members[i], members[j]);
-        }
-    }
-    b.build()
+    members
 }
 
 /// Relabels vertices with a seeded random permutation.
@@ -109,6 +142,8 @@ pub fn relabel(g: &Csr, seed: u64) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn relabel_preserves_structure() {
@@ -147,6 +182,71 @@ mod tests {
             b.add_edge(perm[u as usize], perm[v as usize]);
         }
         assert_eq!(direct, b.build());
+    }
+
+    /// Oracle for [`plant_clique`]: the same members, with `g`'s edges plus
+    /// every clique pair pushed through the normalizing builder.
+    fn plant_clique_via_builder(g: &Csr, size: u32, seed: u64) -> Csr {
+        let n = g.num_vertices();
+        let members = clique_members(n, size, seed);
+        let mut b = GraphBuilder::with_num_vertices(n);
+        b.extend_edges(g.edges());
+        for i in 0..members.len() {
+            for j in (i + 1)..members.len() {
+                b.add_edge(members[i], members[j]);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn plant_clique_matches_builder() {
+        // Dense enough that many members are already adjacent.
+        let dense = complete(12);
+        assert_eq!(plant_clique(&dense, 7, 3), dense);
+        let g = erdos_renyi_gnm(40, 500, 2);
+        assert_eq!(plant_clique(&g, 15, 4), plant_clique_via_builder(&g, 15, 4));
+        // size == n: the whole graph becomes a clique.
+        let g = erdos_renyi_gnm(30, 60, 5);
+        let all = plant_clique(&g, 30, 6);
+        assert_eq!(all, plant_clique_via_builder(&g, 30, 6));
+        assert_eq!(all, complete(30));
+        // size == 2: a single edge, possibly already present.
+        for seed in 0..20 {
+            assert_eq!(
+                plant_clique(&g, 2, seed),
+                plant_clique_via_builder(&g, 2, seed)
+            );
+        }
+        // Degenerate sizes and an edgeless input with isolated vertices.
+        let empty = Csr::empty(9);
+        for size in [0, 1, 9] {
+            assert_eq!(
+                plant_clique(&empty, size, 7),
+                plant_clique_via_builder(&empty, size, 7)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn plant_clique_matches_builder_on_random_graphs(
+            n in 2u32..300,
+            density in 0.0f64..1.0,
+            size_frac in 0.0f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let max_m = n as u64 * (n as u64 - 1) / 2;
+            let m = ((max_m.min(3_000)) as f64 * density) as u64;
+            let g = erdos_renyi_gnm(n, m, seed);
+            let size = (n as f64 * size_frac) as u32;
+            prop_assert_eq!(
+                plant_clique(&g, size, seed ^ 1),
+                plant_clique_via_builder(&g, size, seed ^ 1)
+            );
+        }
     }
 
     #[test]

@@ -98,21 +98,21 @@ fn rmat_sample_edges(
 ) -> Vec<(VertexId, VertexId)> {
     let mut rng = SmallRng::seed_from_u64(chunk_seed);
     let mut out = Vec::with_capacity(m as usize);
+    // Quadrant q = number of cumulative thresholds at or below r: 0 (a),
+    // 1 (b), 2 (c) or 3 (d). Its high bit extends u, its low bit v. Counting
+    // comparisons instead of branching on them avoids a mispredict per level.
+    let (t1, t2, t3) = (
+        params.a,
+        params.a + params.b,
+        params.a + params.b + params.c,
+    );
     for _ in 0..m {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..scale {
             let r: f64 = rng.gen();
-            let (du, dv) = if r < params.a {
-                (0, 0)
-            } else if r < params.a + params.b {
-                (0, 1)
-            } else if r < params.a + params.b + params.c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            u = (u << 1) | du;
-            v = (v << 1) | dv;
+            let q = (r >= t1) as u32 + (r >= t2) as u32 + (r >= t3) as u32;
+            u = u << 1 | q >> 1;
+            v = v << 1 | q & 1;
         }
         if u != v {
             out.push((u, v));
@@ -133,14 +133,6 @@ fn rmat_sample_edges(
 pub fn rmat(scale: u32, m: u64, params: RmatParams, seed: u64) -> Csr {
     assert!((1..=30).contains(&scale), "scale out of range");
     let n: u32 = 1 << scale;
-    if rayon::current_num_threads() == 1 {
-        // One full-size chunk at draw offset 0 IS the serial stream; skip
-        // the fan-out's per-chunk allocations when there is nothing to
-        // fan out to.
-        let mut b = GraphBuilder::with_num_vertices(n);
-        b.extend_edges(rmat_sample_edges(scale, m, params, seed));
-        return b.build();
-    }
     let starts: Vec<u64> = (0..m).step_by(RMAT_CHUNK as usize).collect();
     let chunks: Vec<Vec<(VertexId, VertexId)>> = starts
         .into_par_iter()
@@ -164,7 +156,7 @@ pub fn rmat_serial(scale: u32, m: u64, params: RmatParams, seed: u64) -> Csr {
     let n: u32 = 1 << scale;
     let mut b = GraphBuilder::with_num_vertices(n);
     b.extend_edges(rmat_sample_edges(scale, m, params, seed));
-    b.build_with(crate::builder::BuildPath::Serial)
+    b.build()
 }
 
 /// Barabási–Albert preferential attachment: each new vertex attaches to
@@ -270,21 +262,12 @@ mod tests {
     /// state recurrence no longer matches [`SPLITMIX_PHI`].
     #[test]
     fn rmat_parallel_matches_serial_oracle() {
-        // Run inside a >1-thread pool: on a single-threaded pool `rmat`
-        // legitimately short-circuits to the serial stream, which would
-        // leave the chunked path untested on 1-core hosts.
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            let p = RmatParams::graph500();
-            // single chunk
-            assert_eq!(rmat(9, 2_000, p, 7), rmat_serial(9, 2_000, p, 7));
-            // several chunks (3 × RMAT_CHUNK worth of edge slots)
-            let m = 3 * RMAT_CHUNK + 1_234;
-            assert_eq!(rmat(12, m, p, 41), rmat_serial(12, m, p, 41));
-        });
+        let p = RmatParams::graph500();
+        // single chunk
+        assert_eq!(rmat(9, 2_000, p, 7), rmat_serial(9, 2_000, p, 7));
+        // several chunks (3 × RMAT_CHUNK worth of edge slots)
+        let m = 3 * RMAT_CHUNK + 1_234;
+        assert_eq!(rmat(12, m, p, 41), rmat_serial(12, m, p, 41));
     }
 
     #[test]

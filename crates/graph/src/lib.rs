@@ -48,7 +48,7 @@ pub mod recode;
 pub mod stats;
 pub mod update;
 
-pub use builder::{BuildPath, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use csr::{Csr, VertexId};
 pub use partition::{Partition, PartitionStats, PartitionStrategy, PeerStats, Shard, ShardStats};
 pub use stats::GraphStats;

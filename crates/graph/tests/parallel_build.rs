@@ -4,17 +4,13 @@
 //! This is the determinism contract the whole suite leans on (golden
 //! traces, counter fingerprints, recorded bench snapshots and the binary
 //! dataset cache all assume the ingested graphs do not depend on host
-//! parallelism). Three paths are pinned here:
+//! parallelism). Two paths are pinned here:
 //!
-//! * `GraphBuilder::build_with(Parallel)` vs `Serial` — random multigraph
-//!   edge lists with self-loops, duplicates and both edge orientations;
 //! * `gen::rmat` (chunked parallel sampler) vs `gen::rmat_serial`;
 //! * `io::parse_edge_list_bytes` (chunked parallel tokenizer) vs the
 //!   streaming `io::parse_edge_list`.
 
-use kcore_graph::builder::{self, PARALLEL_BUILD_MIN_EDGES};
-use kcore_graph::{gen, io, BuildPath, VertexId};
-use proptest::prelude::*;
+use kcore_graph::{gen, io};
 
 /// Runs `f` inside dedicated rayon pools of 1, 2 and 8 threads and checks
 /// every pool produces the same value as the caller's pool.
@@ -28,91 +24,6 @@ fn assert_pool_invariant<T: PartialEq + std::fmt::Debug + Send>(f: impl Fn() -> 
         let got = pool.install(&f);
         assert_eq!(got, reference, "pool size {threads} diverged");
     }
-}
-
-/// Deterministic pseudo-random edge list with self-loops, duplicates and
-/// mixed orientations — every normalization case the builder handles.
-fn adversarial_edges(n: u32, m: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut edges = Vec::with_capacity(m);
-    for _ in 0..m {
-        let u = (next() % n as u64) as u32;
-        let roll = next();
-        let v = match roll % 8 {
-            // self loop (must be dropped)
-            0 => u,
-            // hub collisions (heavy duplicate pressure on few vertices)
-            1 | 2 => (roll >> 3) as u32 % 4,
-            _ => (roll >> 3) as u32 % n,
-        };
-        // Both orientations appear: normalization must symmetrize them.
-        if roll & (1 << 62) != 0 {
-            edges.push((v, u));
-        } else {
-            edges.push((u, v));
-        }
-    }
-    edges
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Parallel CSR build == serial CSR build (exact offsets + neighbors)
-    /// on adversarial inputs, at pool sizes 1/2/8.
-    #[test]
-    fn parallel_build_matches_serial(
-        n in 1u32..2_000,
-        m in 0usize..150_000,
-        seed in 0u64..u64::MAX,
-    ) {
-        let edges = adversarial_edges(n, m, seed);
-        let serial = builder::from_edges_with(n, &edges, BuildPath::Serial);
-        assert_pool_invariant(|| builder::from_edges_with(n, &edges, BuildPath::Parallel));
-        let parallel = builder::from_edges_with(n, &edges, BuildPath::Parallel);
-        prop_assert_eq!(&parallel, &serial);
-        // Auto picks one of the two; either way the result is the same.
-        prop_assert_eq!(builder::from_edges_with(n, &edges, BuildPath::Auto), serial);
-    }
-}
-
-/// The Auto threshold actually flips to the parallel path for large inputs
-/// and the result still matches the serial oracle (belt over the proptest
-/// above, which may draw only small `m`).
-#[test]
-fn auto_threshold_crossing_is_invisible() {
-    let n = 5_000u32;
-    for m in [PARALLEL_BUILD_MIN_EDGES - 1, PARALLEL_BUILD_MIN_EDGES + 1] {
-        let edges = adversarial_edges(n, m, 0xA5A5_5A5A);
-        assert_eq!(
-            builder::from_edges_with(n, &edges, BuildPath::Auto),
-            builder::from_edges_with(n, &edges, BuildPath::Serial),
-            "m = {m}"
-        );
-    }
-}
-
-/// Directed input (every edge one orientation only) symmetrizes
-/// identically on both paths.
-#[test]
-fn directed_input_symmetrizes_identically() {
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    for u in 0..400u32 {
-        for k in 1..=5u32 {
-            edges.push((u, (u * 7 + k * 13) % 400));
-        }
-    }
-    assert_eq!(
-        builder::from_edges_with(400, &edges, BuildPath::Parallel),
-        builder::from_edges_with(400, &edges, BuildPath::Serial)
-    );
 }
 
 /// Chunked parallel R-MAT equals the single-stream serial sampler, across

@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== ingest fingerprints (full-size stand-ins, release) =="
+# FNV-1a of every pinned stand-in's KCSR bytes: any generator byte drift
+# fails here, not only in the smoke subset the debug suite covers.
+cargo test -q --release -p kcore-graph --test ingest_fingerprint -- --ignored
+
 echo "== simulator wall-clock smoke budget =="
 # The simulator suite re-runs (already compiled) under a wall-clock ceiling:
 # a blow-up here means a host-side perf regression (e.g. the fused engine
