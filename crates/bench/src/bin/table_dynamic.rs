@@ -10,25 +10,35 @@
 //! spaced points of the same stream (graph size barely moves, so the
 //! sample mean is representative). The measured maintenance/re-peel
 //! **crossover** — the net batch size at which one re-peel becomes cheaper
-//! than per-edge maintenance — is derived from the largest-batch run and
-//! reported next to the engine's configured fallback threshold.
+//! than per-edge maintenance — is derived from the largest-batch run's cost
+//! per *net* update (the unit [`DynamicConfig::crossover`] counts) and
+//! reported next to the engine's configured fallback threshold. Each row
+//! also splits its simulated time into launch overhead, PCIe transfers and
+//! kernel work, summed from the run's per-phase trace rollups.
 //!
 //! `--check` additionally verifies the final core numbers of every run
-//! against a from-scratch BZ peel of the final graph (and, at full scale,
-//! asserts the ≥ 10x acceptance bar); `KCORE_SMOKE=1` shrinks the workload
-//! to CI size.
+//! against a from-scratch BZ peel of the final graph, asserts that the
+//! per-phase trace time equals the summed batch reports and that no
+//! maintained batch reads back more than twice (and, at full scale, the
+//! ≥ 10x acceptance bar); `KCORE_SMOKE=1` shrinks the workload to CI size.
 
 use kcore_bench::{print_table, save_json};
 use kcore_cpu::{bz, incremental::DynamicGraph, CoreAlgorithm};
 use kcore_gpu::{BatchPath, DynamicConfig, DynamicCore, PeelConfig};
-use kcore_gpusim::{LaunchConfig, SimOptions};
+use kcore_gpusim::{LaunchConfig, SimOptions, Trace, TransferDir};
 use kcore_graph::{gen, EdgeUpdate};
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct Row {
     batch_size: usize,
+    /// Net updates the engine applied (accepted, after cancellation).
+    net: usize,
     sim_ms: f64,
+    /// `sim_ms` split: launch overhead, PCIe transfers, kernel work.
+    launch_ms: f64,
+    transfer_ms: f64,
+    work_ms: f64,
     updates_per_sec: f64,
     speedup_vs_repeel: f64,
     batches: usize,
@@ -47,7 +57,8 @@ struct Table {
     repeel_avg_ms: f64,
     baseline_updates_per_sec: f64,
     /// Measured: net updates at which one full re-peel costs less than
-    /// per-edge maintenance (derived from the largest-batch run).
+    /// per-edge maintenance (derived from the largest-batch run's cost per
+    /// net update).
     crossover_updates: u64,
     /// [`DynamicConfig::auto_crossover`] on the same measurements — what the
     /// engine would pick as its fallback threshold if tuned from this run.
@@ -55,6 +66,18 @@ struct Table {
     /// Configured: net-update count at which the engine falls back.
     configured_crossover: usize,
     rows: Vec<Row>,
+}
+
+/// Launch overhead, transfer and kernel-work ms summed over a trace's
+/// phases.
+fn sim_split(t: &Trace) -> [f64; 3] {
+    t.phases.iter().fold([0.0; 3], |[l, x, w], p| {
+        [
+            l + p.launch_overhead_ms,
+            x + p.transfer_ms,
+            w + p.kernel_ms - p.launch_overhead_ms,
+        ]
+    })
 }
 
 /// Deterministic xorshift32 churn over in-range endpoints; duplicate
@@ -133,20 +156,45 @@ fn main() {
     for &bs in &batch_sizes {
         let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, dyn_cfg.clone())
             .expect("engine init");
+        let before = sim_split(&dc.ctx_mut().trace("init"));
         let mut sim_ms = 0.0;
+        let mut net = 0usize;
         let mut batches = 0usize;
         let mut repeeled = 0usize;
         let mut pruned = 0usize;
         let mut candidates = 0u64;
         let mut changed = 0u64;
         for batch in ops.chunks(bs) {
+            let t0 = dc.ctx().transfers().len();
             let rep = dc.apply_batch(batch).expect("apply_batch");
+            let d2h = dc.ctx().transfers()[t0..]
+                .iter()
+                .filter(|t| t.dir == TransferDir::DeviceToHost)
+                .count();
+            if check && rep.path == BatchPath::Maintained {
+                assert!(
+                    d2h <= 2,
+                    "batch size {bs}: a maintained batch read back {d2h} times (budget 2)"
+                );
+            }
             sim_ms += rep.sim_ms;
+            net += rep.net_inserts + rep.net_deletes;
             batches += 1;
             repeeled += usize::from(rep.path == BatchPath::Repeeled);
             pruned += rep.pruned_inserts;
             candidates += rep.candidates;
             changed += rep.changed;
+        }
+        let after = sim_split(&dc.ctx_mut().trace("run"));
+        let [launch_ms, transfer_ms, work_ms] = [0, 1, 2].map(|i| after[i] - before[i]);
+        if check {
+            // Two independent accumulations of the same clock: the trace's
+            // per-phase kernel and transfer time, and the batches' reports.
+            let traced = launch_ms + transfer_ms + work_ms;
+            assert!(
+                (traced - sim_ms).abs() <= 1e-9 * sim_ms.max(1.0),
+                "batch size {bs}: phases sum to {traced} ms, batch reports to {sim_ms} ms"
+            );
         }
         let ups = updates as f64 * 1_000.0 / sim_ms;
         eprintln!(
@@ -162,7 +210,11 @@ fn main() {
         }
         rows.push(Row {
             batch_size: bs,
+            net,
             sim_ms,
+            launch_ms,
+            transfer_ms,
+            work_ms,
             updates_per_sec: ups,
             speedup_vs_repeel: ups / baseline_ups,
             batches,
@@ -173,15 +225,18 @@ fn main() {
         });
     }
 
-    // Measured crossover: per-update maintenance cost from the
-    // largest-batch run (best amortization) vs one full re-peel.
-    let per_update_ms = rows.last().unwrap().sim_ms / updates as f64;
-    let crossover_updates = (repeel_avg_ms / per_update_ms).ceil() as u64;
+    // Measured crossover: maintenance cost per net update (what the
+    // engine's crossover counts; rejected and cancelled updates are free)
+    // from the largest-batch run (best amortization) vs one full re-peel.
+    let last = rows.last().unwrap();
+    let per_net_update_ms = last.sim_ms / last.net as f64;
+    let crossover_updates = (repeel_avg_ms / per_net_update_ms).ceil() as u64;
     // The engine-side derivation of the same break-even point.
-    let auto_crossover = DynamicConfig::auto_crossover(repeel_avg_ms, per_update_ms);
+    let auto_crossover = DynamicConfig::auto_crossover(repeel_avg_ms, per_net_update_ms);
 
     let headers: Vec<String> = [
-        "Batch", "sim ms", "upd/s", "vs peel", "repeels", "pruned", "cand", "changed",
+        "Batch", "net", "sim ms", "launch", "xfer", "work", "upd/s", "vs peel", "repeels",
+        "pruned", "cand", "changed",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -191,7 +246,11 @@ fn main() {
         .map(|r| {
             vec![
                 r.batch_size.to_string(),
+                r.net.to_string(),
                 format!("{:.2}", r.sim_ms),
+                format!("{:.2}", r.launch_ms),
+                format!("{:.2}", r.transfer_ms),
+                format!("{:.2}", r.work_ms),
                 format!("{:.0}", r.updates_per_sec),
                 format!("{:.1}x", r.speedup_vs_repeel),
                 r.repeeled_batches.to_string(),
@@ -203,7 +262,11 @@ fn main() {
         .collect();
     txt.push(vec![
         "re-peel".into(),
+        "-".into(),
         format!("{repeel_avg_ms:.2}"),
+        "-".into(),
+        "-".into(),
+        "-".into(),
         format!("{baseline_ups:.0}"),
         "1.0x".into(),
         "-".into(),
@@ -223,11 +286,12 @@ fn main() {
         repeel_ms.len()
     );
     println!(
-        "crossover: one re-peel ≈ {crossover_updates} maintained updates \
-         (auto_crossover would set {auto_crossover}; engine falls back at \
-         {} net updates/batch)",
+        "crossover: one re-peel ≈ {crossover_updates} maintained net updates \
+         (auto_crossover would set {auto_crossover}); the configured default \
+         stays at {} net updates/batch, not re-tuned from this run",
         dyn_cfg.crossover
     );
+    println!("sim ms = launch overhead + transfers (xfer) + kernel work, from per-phase traces");
 
     let best = rows
         .iter()
@@ -254,14 +318,14 @@ fn main() {
         // break-even point: re-peel pays off at `auto_crossover` updates
         // and not one sooner.
         assert!(
-            per_update_ms * auto_crossover as f64 >= repeel_avg_ms,
+            per_net_update_ms * auto_crossover as f64 >= repeel_avg_ms,
             "auto_crossover {auto_crossover} below break-even \
-             (per-update {per_update_ms:.4} ms, re-peel {repeel_avg_ms:.4} ms)"
+             (per net update {per_net_update_ms:.4} ms, re-peel {repeel_avg_ms:.4} ms)"
         );
         assert!(
-            per_update_ms * ((auto_crossover - 1) as f64) < repeel_avg_ms,
+            per_net_update_ms * ((auto_crossover - 1) as f64) < repeel_avg_ms,
             "auto_crossover {auto_crossover} is not minimal \
-             (per-update {per_update_ms:.4} ms, re-peel {repeel_avg_ms:.4} ms)"
+             (per net update {per_net_update_ms:.4} ms, re-peel {repeel_avg_ms:.4} ms)"
         );
         assert_eq!(
             auto_crossover as u64, crossover_updates,

@@ -13,8 +13,8 @@
 //! * a deleted core-`K` vertex `v` keeps its core iff it retains at least
 //!   `K` neighbors of (new) core `>= K` — its MCD;
 //! * an insertion can only raise cores if some root endpoint `w` has
-//!   `PCD(w) > K`, which gives a one-kernel prune that retires most
-//!   insertions without any traversal.
+//!   `PCD(w) > K`, which gives a prune that retires such insertions
+//!   without any traversal.
 //!
 //! Batches are *net-effect* processed: cores are a function of the final
 //! graph only, so cancelling insert/delete pairs are elided, duplicates and
@@ -27,10 +27,15 @@
 //! net updates the engine falls back to a from-scratch
 //! [`peel::decompose_in`], which is cheaper than massed traversals.
 //!
-//! MCD counters are maintained device-side: structural kernels apply the
-//! endpoint deltas and every op that changes cores refreshes the counters
-//! of the changed vertices and their neighbors with a list-mode kernel, so
-//! the next op's prune/seed reads exact values.
+//! A maintained batch is device resident: each net update is five
+//! back-to-back kernels with no host round trip. The structural kernel
+//! decides the op — `K`, the roots, the prune verdict — into `dyn.meta`,
+//! and the subcore search, cascade, commit and MCD refresh read it from
+//! there. MCD counters stay exact on the device: the structural kernel
+//! applies the endpoint deltas and the refresh recomputes the changed
+//! vertices and their neighbors before the next op reads them. The host
+//! syncs once per batch, reading back the batch counters and a change log
+//! of `(vertex, new core)` pairs.
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -40,8 +45,8 @@ use kcore_gpusim::{
     SimOptions, SizeClass,
 };
 use kcore_graph::{Csr, EdgeUpdate};
-use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::Ordering;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Tuning knobs of the dynamic engine.
 #[derive(Debug, Clone)]
@@ -85,7 +90,8 @@ impl DynamicConfig {
     /// Derives the maintenance/re-peel crossover from measured costs: the
     /// smallest net-update count at which one from-scratch peel
     /// (`repeel_ms`) is no more expensive than per-edge maintenance at
-    /// `per_update_ms` each — i.e. `ceil(repeel_ms / per_update_ms)`.
+    /// `per_update_ms` per *net* update (the unit [`Self::crossover`]
+    /// counts) — i.e. `ceil(repeel_ms / per_update_ms)`.
     ///
     /// Degenerate inputs keep the engine on a sane path: a non-positive
     /// `per_update_ms` (maintenance is free or unmeasured) disables the
@@ -156,10 +162,36 @@ pub struct BatchReport {
     pub sim_ms: f64,
 }
 
+// `dyn.meta` word layout. Each op's structural kernel writes the per-op
+// words (`M_K` ..= `M_DIRTY`); the batch's first structural kernel zeroes
+// the batch counters (`M_PRUNED` ..), which the host reads back once, at
+// batch end.
+
+/// The op's `K = min(core(u), core(v))`.
+const M_K: usize = 0;
+/// How many roots the subcore search starts from; `0` retires the op.
+const M_ROOTS: usize = 1;
+/// The roots: the op's core-`K` endpoints (two words).
+const M_ROOT: usize = 2;
+/// Candidate-list cursor (`dyn.cand`).
+const M_CAND: usize = 4;
+/// MCD refresh-list cursor (`dyn.dirty`).
+const M_DIRTY: usize = 5;
+/// Batch counter: insertions retired by the PCD prune.
+const M_PRUNED: usize = 6;
+/// Batch counter: subcore candidates, 64-bit (low word, high word).
+const M_CANDIDATES: usize = 7;
+/// Batch counter: core changes, 64-bit; the low word is the `dyn.log`
+/// cursor.
+const M_CHANGED: usize = 9;
+const META_WORDS: usize = 11;
+
 /// Copyable bundle of everything the kernels need.
 #[derive(Clone, Copy)]
 struct DynParams {
     bufcap: usize,
+    /// `dyn.log` capacity in `(vertex, new core)` pairs.
+    logcap: usize,
     d_off: BufferId,
     d_len: BufferId,
     d_adj: BufferId,
@@ -169,7 +201,8 @@ struct DynParams {
     d_evic: BufferId,
     d_sup: BufferId,
     d_cand: BufferId,
-    d_chg: BufferId,
+    d_dirty: BufferId,
+    d_log: BufferId,
     d_meta: BufferId,
     d_buf: BufferId,
     d_batch: BufferId,
@@ -218,8 +251,8 @@ impl DynamicCore {
         let d_evic = ctx.alloc_tagged("dyn.evic", pad, SizeClass::PerVertex)?;
         let d_sup = ctx.alloc_tagged("dyn.sup", pad, SizeClass::PerVertex)?;
         let d_cand = ctx.alloc_tagged("dyn.cand", pad, SizeClass::PerVertex)?;
-        let d_chg = ctx.alloc_tagged("dyn.changed", pad, SizeClass::PerVertex)?;
-        let d_meta = ctx.alloc_tagged("dyn.meta", 4, SizeClass::Fixed)?;
+        let d_dirty = ctx.alloc_tagged("dyn.dirty", pad, SizeClass::PerVertex)?;
+        let d_meta = ctx.alloc_tagged("dyn.meta", META_WORDS, SizeClass::Fixed)?;
         let bufcap = if cfg.buf_capacity == 0 {
             n.max(64)
         } else {
@@ -230,11 +263,13 @@ impl DynamicCore {
             cfg.launch.blocks as usize * bufcap,
             SizeClass::Fixed,
         )?;
-        let d_batch =
-            ctx.alloc_tagged("dyn.batch", 2 * cfg.batch_capacity.max(1), SizeClass::Batch)?;
+        let logcap = cfg.batch_capacity.max(1);
+        let d_batch = ctx.alloc_tagged("dyn.batch", 2 * logcap, SizeClass::Batch)?;
+        let d_log = ctx.alloc_tagged("dyn.log", 2 * logcap, SizeClass::Batch)?;
 
         let p = DynParams {
             bufcap,
+            logcap,
             d_off,
             d_len,
             d_adj,
@@ -244,7 +279,8 @@ impl DynamicCore {
             d_evic,
             d_sup,
             d_cand,
-            d_chg,
+            d_dirty,
+            d_log,
             d_meta,
             d_buf,
             d_batch,
@@ -281,7 +317,9 @@ impl DynamicCore {
     /// Surviving net updates are staged to the device in
     /// [`DynamicConfig::batch_capacity`]-sized chunks and processed deletes
     /// first, each with its own theorem-backed traversal — or, past
-    /// [`DynamicConfig::crossover`], by one from-scratch peel.
+    /// [`DynamicConfig::crossover`], by one from-scratch peel. A maintained
+    /// batch syncs once, at its end: one copy of the batch counters and one
+    /// of the change log.
     pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<BatchReport, SimError> {
         let _batch_span = self.ctx.host_span("dynamic/batch");
         let t0 = self.ctx.elapsed_ms();
@@ -361,26 +399,24 @@ impl DynamicCore {
         } else {
             rep.path = BatchPath::Maintained;
             let _maintain_span = self.ctx.host_span("dynamic/maintain");
-            let chunk_cap = self.cfg.batch_capacity.max(1);
             let all: Vec<(bool, u32, u32)> = net_del
                 .iter()
                 .map(|&(u, v)| (false, u, v))
                 .chain(net_ins.iter().map(|&(u, v)| (true, u, v)))
                 .collect();
-            for chunk in all.chunks(chunk_cap) {
+            for (c, chunk) in all.chunks(self.cfg.batch_capacity.max(1)).enumerate() {
                 self.ctx.set_phase("DynStruct");
                 let words: Vec<u32> = chunk.iter().flat_map(|&(_, u, v)| [u, v]).collect();
                 self.ctx.htod_into(self.p.d_batch, 0, &words)?;
                 for (i, &(ins, u, v)) in chunk.iter().enumerate() {
-                    if ins {
-                        self.process_insert(i, u, v, &mut rep)?;
-                    } else {
-                        self.process_delete(i, u, v, &mut rep)?;
-                    }
+                    self.enqueue_op(i, c == 0 && i == 0, ins, u, v)?;
                 }
             }
         }
         self.ctx.set_phase("DynSync");
+        if rep.path == BatchPath::Maintained {
+            self.sync_batch(&mut rep);
+        }
         self.ctx.set_workload_dims(self.n as u64, self.arcs);
         rep.rebuilds = self.rebuilds;
         rep.sim_ms = self.ctx.elapsed_ms() - t0;
@@ -443,133 +479,103 @@ impl DynamicCore {
 
     // -- per-update processing ---------------------------------------------
 
-    /// One net deletion: structural kernel, subcore search seeded with MCD,
-    /// eviction cascade at threshold `k`, commit, MCD refresh.
-    fn process_delete(
+    /// Mirrors net update `i` of the staged chunk on the host, then
+    /// enqueues its five kernels: structural splice + PCD prune, subcore
+    /// search, support + eviction cascade, commit, MCD refresh. Nothing is
+    /// read back: every per-op decision lives in `dyn.meta`, and a retired
+    /// op's downstream kernels find no roots and do nothing. `first`
+    /// marks the batch's first op, whose structural kernel zeroes the
+    /// batch counters.
+    fn enqueue_op(
         &mut self,
         i: usize,
+        first: bool,
+        insert: bool,
         a: u32,
         b: u32,
-        rep: &mut BatchReport,
     ) -> Result<(), SimError> {
-        let k = self.core_host[a as usize].min(self.core_host[b as usize]);
-        del_adj(&mut self.adj[a as usize], b);
-        del_adj(&mut self.adj[b as usize], a);
-        self.arcs -= 2;
-
         self.ctx.set_phase("DynStruct");
+        let (ai, bi) = (a as usize, b as usize);
+        if insert {
+            if self.adj[ai].len() as u32 == self.cap[ai]
+                || self.adj[bi].len() as u32 == self.cap[bi]
+            {
+                self.rebuilds += 1;
+                self.rebuild_adjacency()?;
+            }
+            add_adj(&mut self.adj[ai], b);
+            add_adj(&mut self.adj[bi], a);
+            self.arcs += 2;
+        } else {
+            del_adj(&mut self.adj[ai], b);
+            del_adj(&mut self.adj[bi], a);
+            self.arcs -= 2;
+        }
         let p = self.p;
-        let one = LaunchConfig {
-            blocks: 1,
-            threads_per_block: self.cfg.launch.threads_per_block,
+        let cfg = self.cfg.launch;
+        let one = LaunchConfig { blocks: 1, ..cfg };
+        let name = if insert {
+            "dyn_edge_ins"
+        } else {
+            "dyn_edge_del"
         };
         self.ctx
-            .launch("dyn_edge_del", one, |blk| k_edge(blk, &p, i, false))?;
-        if k == 0 {
-            // Core numbers of 0 cannot drop; the theorem confines all other
-            // vertices (core > K = 0) to no change.
-            return Ok(());
-        }
-        let mut roots: Vec<u32> = Vec::new();
-        if self.core_host[a as usize] == k {
-            roots.push(a);
-        }
-        if self.core_host[b as usize] == k {
-            roots.push(b);
-        }
+            .launch(name, one, |blk| k_edge(blk, &p, i, insert, first))?;
         self.ctx.set_phase("DynSubcore");
-        self.launch_subcore(&roots, k, true)?;
-        let cand_n = self.ctx.dtoh_word(self.p.d_meta, 0) as usize;
+        self.ctx.launch_stepped(
+            "dyn_subcore",
+            cfg,
+            |blk| bfs_init(blk, &p, !insert),
+            |blk, st| {
+                let k = st.k;
+                let plan = plan_wave(blk, st, &p, p.d_core, |c| c == k)?;
+                bfs_commit(blk, st, plan, &p, !insert)
+            },
+        )?;
         self.ctx.set_phase("DynCascade");
-        self.launch_cascade(k, Some(k - 1))?;
-        let chg_n = self.ctx.dtoh_word(self.p.d_meta, 1) as usize;
-        let dropped = self.ctx.dtoh_range(self.p.d_chg, 0, chg_n);
+        self.ctx.launch_stepped(
+            "dyn_cascade",
+            cfg,
+            |blk| casc_init(blk, &p, insert),
+            |blk, st| {
+                let plan = plan_wave(blk, st, &p, p.d_flag, |f| f != 0)?;
+                casc_commit(blk, st, plan, &p, insert)
+            },
+        )?;
         self.ctx.set_phase("DynCommit");
-        self.launch_commit(k, false, cand_n)?;
-        for &w in &dropped {
-            self.core_host[w as usize] = k - 1;
-        }
-        rep.candidates += cand_n as u64;
-        rep.changed += chg_n as u64;
-        if !dropped.is_empty() {
-            let dirty = self.dirty_closure(&dropped);
-            self.refresh_mcd(&dirty)?;
-        }
-        Ok(())
+        self.ctx
+            .launch("dyn_commit", cfg, |blk| k_commit(blk, &p, insert))?;
+        self.ctx.set_phase("DynMcd");
+        self.ctx.launch_stepped(
+            "dyn_mcd",
+            cfg,
+            |blk| refresh_claim(blk, &p, insert),
+            |blk, _| refresh_mcd(blk, &p),
+        )
     }
 
-    /// One net insertion: structural kernel, PCD prune, then (if the prune
-    /// cannot retire it) subcore search, support kernel, eviction cascade at
-    /// threshold `k + 1`, commit, MCD refresh.
-    fn process_insert(
-        &mut self,
-        i: usize,
-        a: u32,
-        b: u32,
-        rep: &mut BatchReport,
-    ) -> Result<(), SimError> {
-        if self.adj[a as usize].len() as u32 == self.cap[a as usize]
-            || self.adj[b as usize].len() as u32 == self.cap[b as usize]
-        {
-            self.rebuilds += 1;
-            self.rebuild_adjacency()?;
+    /// The maintained batch's only readbacks: the batch counters, then the
+    /// change log — or, if it overflowed, the whole core array — applied in
+    /// log order so `core_host` ends equal to `dyn.core`.
+    fn sync_batch(&mut self, rep: &mut BatchReport) {
+        let c = self.ctx.dtoh_range(self.p.d_meta, M_PRUNED, META_WORDS);
+        let wide = |at: usize| u64::from(c[at - M_PRUNED]) | u64::from(c[at + 1 - M_PRUNED]) << 32;
+        rep.pruned_inserts = c[0] as usize;
+        rep.candidates = wide(M_CANDIDATES);
+        rep.changed = wide(M_CHANGED);
+        if rep.changed == 0 {
+            return;
         }
-        let k = self.core_host[a as usize].min(self.core_host[b as usize]);
-        add_adj(&mut self.adj[a as usize], b);
-        add_adj(&mut self.adj[b as usize], a);
-        self.arcs += 2;
-
-        self.ctx.set_phase("DynStruct");
-        let p = self.p;
-        let one = LaunchConfig {
-            blocks: 1,
-            threads_per_block: self.cfg.launch.threads_per_block,
-        };
-        self.ctx
-            .launch("dyn_edge_ins", one, |blk| k_edge(blk, &p, i, true))?;
-
-        let mut roots: Vec<u32> = Vec::new();
-        if self.core_host[a as usize] == k {
-            roots.push(a);
+        if rep.changed <= self.p.logcap as u64 {
+            let log = self
+                .ctx
+                .dtoh_range(self.p.d_log, 0, 2 * rep.changed as usize);
+            for pair in log.chunks_exact(2) {
+                self.core_host[pair[0] as usize] = pair[1];
+            }
+        } else {
+            self.core_host = self.ctx.dtoh_range(self.p.d_core, 0, self.n);
         }
-        if self.core_host[b as usize] == k {
-            roots.push(b);
-        }
-        self.ctx.set_phase("DynPrune");
-        let pr = roots.clone();
-        self.ctx
-            .launch("dyn_prune", one, move |blk| k_prune(blk, &p, &pr, k))?;
-        if self.ctx.dtoh_word(self.p.d_meta, 2) == 0 {
-            rep.pruned_inserts += 1;
-            return Ok(());
-        }
-        self.ctx.set_phase("DynSubcore");
-        self.launch_subcore(&roots, k, false)?;
-        let cand_n = self.ctx.dtoh_word(self.p.d_meta, 0) as usize;
-        self.ctx.set_phase("DynSupport");
-        self.ctx
-            .launch("dyn_support", self.cfg.launch, move |blk| {
-                k_support(blk, &p, k, cand_n)
-            })?;
-        self.ctx.set_phase("DynCascade");
-        self.launch_cascade(k + 1, None)?;
-        let evic_n = self.ctx.dtoh_word(self.p.d_meta, 1) as usize;
-        let cand = self.ctx.dtoh_range(self.p.d_cand, 0, cand_n);
-        let evicted = self.ctx.dtoh_range(self.p.d_chg, 0, evic_n);
-        self.ctx.set_phase("DynCommit");
-        self.launch_commit(k, true, cand_n)?;
-        let evs: HashSet<u32> = evicted.into_iter().collect();
-        let survivors: Vec<u32> = cand.into_iter().filter(|v| !evs.contains(v)).collect();
-        for &w in &survivors {
-            self.core_host[w as usize] = k + 1;
-        }
-        rep.candidates += cand_n as u64;
-        rep.changed += survivors.len() as u64;
-        if !survivors.is_empty() {
-            let dirty = self.dirty_closure(&survivors);
-            self.refresh_mcd(&dirty)?;
-        }
-        Ok(())
     }
 
     /// Crossover fallback: apply the net updates to the mirror, re-peel the
@@ -599,72 +605,11 @@ impl DynamicCore {
         Ok(())
     }
 
-    // -- launch wrappers ----------------------------------------------------
-
-    fn launch_subcore(&mut self, roots: &[u32], k: u32, seed_mcd: bool) -> Result<(), SimError> {
-        let p = self.p;
-        let roots = roots.to_vec();
-        self.ctx.launch_stepped(
-            "dyn_subcore",
-            self.cfg.launch,
-            |blk| bfs_init(blk, &p, &roots, seed_mcd),
-            |blk, st| {
-                let plan = bfs_plan(blk, st, &p, k)?;
-                bfs_commit(blk, st, plan, &p, seed_mcd)
-            },
-        )
-    }
-
-    fn launch_cascade(&mut self, thresh: u32, drop_to: Option<u32>) -> Result<(), SimError> {
-        let p = self.p;
-        self.ctx.launch_stepped(
-            "dyn_cascade",
-            self.cfg.launch,
-            |blk| casc_init(blk, &p, thresh, drop_to),
-            |blk, st| {
-                let plan = casc_plan(blk, st, &p)?;
-                casc_commit(blk, st, plan, &p, thresh, drop_to)
-            },
-        )
-    }
-
-    fn launch_commit(&mut self, k: u32, rise: bool, cand_n: usize) -> Result<(), SimError> {
-        let p = self.p;
-        self.ctx.launch("dyn_commit", self.cfg.launch, move |blk| {
-            k_commit(blk, &p, k, rise, cand_n)
-        })
-    }
-
     fn run_mcd_full(&mut self) -> Result<(), SimError> {
         let p = self.p;
         let count = self.n;
-        self.ctx.launch("dyn_mcd", self.cfg.launch, move |blk| {
-            k_mcd(blk, &p, count, false)
-        })
-    }
-
-    /// Recomputes MCD for `dirty` (sorted, deduplicated) with the list-mode
-    /// counter kernel, staging the list through `dyn.cand`.
-    fn refresh_mcd(&mut self, dirty: &[u32]) -> Result<(), SimError> {
-        self.ctx.set_phase("DynMcd");
-        self.ctx.htod_into(self.p.d_cand, 0, dirty)?;
-        let p = self.p;
-        let count = dirty.len();
-        self.ctx.launch("dyn_mcd", self.cfg.launch, move |blk| {
-            k_mcd(blk, &p, count, true)
-        })
-    }
-
-    /// `seed ∪ N(seed)` from the (post-op) mirror, sorted and deduplicated —
-    /// exactly the vertices whose MCD a set of core changes can disturb.
-    fn dirty_closure(&self, seed: &[u32]) -> Vec<u32> {
-        let mut dirty: Vec<u32> = seed.to_vec();
-        for &v in seed {
-            dirty.extend_from_slice(&self.adj[v as usize]);
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
+        self.ctx
+            .launch("dyn_mcd", self.cfg.launch, move |blk| k_mcd(blk, &p, count))
     }
 
     /// Frees and re-uploads the padded device CSR from the mirror with fresh
@@ -760,70 +705,118 @@ fn build_device_csr(
 // Kernels
 // ---------------------------------------------------------------------------
 
-/// MCD counter kernel. Full mode (`list == false`): vertex `i` striped over
-/// blocks. List mode: vertex `dyn.cand[i]`. `mcd(v) = |{u ∈ N(v) :
-/// core(u) >= core(v)}|`.
-fn k_mcd(
-    blk: &mut BlockCtx<'_>,
+/// Walks `v`'s live adjacency in 32-lane chunks — charging the
+/// offset/length sector pair and each chunk's coalesced load — and hands
+/// each chunk's neighbor ids to `f`.
+fn walk_adj<'a>(
+    blk: &mut BlockCtx<'a>,
     p: &DynParams,
-    count: usize,
-    list: bool,
-) -> Result<(), KernelError> {
+    v: usize,
+    mut f: impl FnMut(&mut BlockCtx<'a>, &[usize]),
+) {
     let dev = blk.device;
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
     let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
-    let mcd = dev.buffer(p.d_mcd);
-    let cand = dev.buffer(p.d_cand);
-    let blocks = blk.cfg.blocks as usize;
-    let mut i = blk.block_idx as usize;
-    while i < count {
-        let v = if list {
-            blk.gread(&cand[i]) as usize
-        } else {
-            i
-        };
-        blk.charge_sector(2); // off[v] + len[v] (distinct arrays)
-        let o = off[v].load(Ordering::Relaxed) as usize;
-        let l = lenb[v].load(Ordering::Relaxed) as usize;
-        let cv = blk.gread(&core[v]);
-        let mut m = 0u32;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut cs = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
-            for t in 0..cnt {
-                if cs[t] >= cv {
-                    m += 1;
-                }
-            }
-            blk.charge_instr(1);
-            chunk = cend;
+    blk.charge_sector(2); // off[v] + len[v] (distinct arrays)
+    let o = dev.buffer(p.d_off)[v].load(Ordering::Relaxed) as usize;
+    let oe = o + dev.buffer(p.d_len)[v].load(Ordering::Relaxed) as usize;
+    let mut idxs = [0usize; 32];
+    let mut chunk = o;
+    while chunk < oe {
+        let cnt = (oe - chunk).min(32);
+        blk.sync_warp();
+        blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
+        for (t, x) in idxs[..cnt].iter_mut().enumerate() {
+            *x = adjb[chunk + t].load(Ordering::Relaxed) as usize;
         }
+        f(blk, &idxs[..cnt]);
+        chunk += cnt;
+    }
+}
+
+/// `mcd(v) = |{u ∈ N(v) : core(u) >= core(v)}|`.
+fn mcd_of(blk: &mut BlockCtx<'_>, p: &DynParams, v: usize) -> u32 {
+    let core = blk.device.buffer(p.d_core);
+    let cv = blk.gread(&core[v]);
+    let mut m = 0u32;
+    walk_adj(blk, p, v, |blk, idxs| {
+        let mut cs = [0u32; 32];
+        blk.gather(core, idxs, &mut cs, Coalescing::Classified);
+        m += cs[..idxs.len()].iter().filter(|&&c| c >= cv).count() as u32;
+        blk.charge_instr(1);
+    });
+    m
+}
+
+/// `PCD(r) = |{x ∈ N(r) : core(x) > k ∨ (core(x) == k ∧ mcd(x) > k)}|` —
+/// the neighbors that could still support `r` at core `k + 1`.
+fn pcd_of(blk: &mut BlockCtx<'_>, p: &DynParams, r: usize, k: u32) -> u32 {
+    let dev = blk.device;
+    let (core, mcd) = (dev.buffer(p.d_core), dev.buffer(p.d_mcd));
+    let mut pcd = 0u32;
+    walk_adj(blk, p, r, |blk, idxs| {
+        let mut cs = [0u32; 32];
+        let mut ms = [0u32; 32];
+        blk.gather(core, idxs, &mut cs, Coalescing::Classified);
+        blk.gather(mcd, idxs, &mut ms, Coalescing::Classified);
+        pcd += (0..idxs.len())
+            .filter(|&t| cs[t] > k || (cs[t] == k && ms[t] > k))
+            .count() as u32;
+        blk.charge_instr(1);
+    });
+    pcd
+}
+
+/// Insertion support of candidate `v`: `|{x ∈ N(v) : core(x) > k ∨
+/// flag(x)}|` — neighbors already above `k` or fellow candidates.
+fn support_of(blk: &mut BlockCtx<'_>, p: &DynParams, v: usize, k: u32) -> u32 {
+    let dev = blk.device;
+    let (core, flag) = (dev.buffer(p.d_core), dev.buffer(p.d_flag));
+    let mut m = 0u32;
+    walk_adj(blk, p, v, |blk, idxs| {
+        let mut cs = [0u32; 32];
+        let mut fs = [0u32; 32];
+        blk.gather(core, idxs, &mut cs, Coalescing::Classified);
+        blk.gather(flag, idxs, &mut fs, Coalescing::Classified);
+        m += (0..idxs.len()).filter(|&t| cs[t] > k || fs[t] != 0).count() as u32;
+        blk.charge_instr(1);
+    });
+    m
+}
+
+/// Full MCD counter kernel: vertex `i` striped over blocks.
+fn k_mcd(blk: &mut BlockCtx<'_>, p: &DynParams, count: usize) -> Result<(), KernelError> {
+    let mcd = blk.device.buffer(p.d_mcd);
+    for v in (blk.block_idx as usize..count).step_by(blk.cfg.blocks as usize) {
+        let m = mcd_of(blk, p, v);
         blk.gwrite(&mcd[v], m);
-        i += blocks;
     }
     Ok(())
 }
 
-/// Structural edge kernel (one block): reads op `i`'s `[u, v]` from the
-/// staging buffer, splices both adjacency directions (append for insert,
-/// swap-remove for delete) and applies the endpoint MCD deltas against the
-/// current cores.
+/// Adds `x` to the 64-bit counter `meta[at]` (low word), `meta[at + 1]`
+/// (high word) and returns the old low word.
+fn add_wide(blk: &mut BlockCtx<'_>, meta: &[AtomicU32], at: usize, x: u32) -> u32 {
+    let old = blk.atomic_add(&meta[at], x);
+    if old.checked_add(x).is_none() {
+        blk.atomic_add(&meta[at + 1], 1);
+    }
+    old
+}
+
+/// Structural kernel (one block), the first of every op: reads op `i`'s
+/// `[u, v]` from the staging buffer, splices both adjacency directions
+/// (append for insert, swap-remove for delete) and applies the endpoint
+/// MCD deltas against the current cores. Then it decides the op on the
+/// device: `K`, the core-`K` roots, and the retire verdict. A delete at
+/// `K = 0` cannot lower a core; an insert whose roots all have `PCD <= K`
+/// (against the post-insert structure) cannot raise one. Either retires
+/// with zero roots. `first` zeroes the batch counters.
 fn k_edge(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
     i: usize,
     insert: bool,
+    first: bool,
 ) -> Result<(), KernelError> {
     let dev = blk.device;
     let batch = dev.buffer(p.d_batch);
@@ -832,6 +825,12 @@ fn k_edge(
     let adjb = dev.buffer(p.d_adj);
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
+    let meta = dev.buffer(p.d_meta);
+    if first {
+        for w in &meta[M_PRUNED..] {
+            blk.gwrite(w, 0);
+        }
+    }
     blk.charge_sector(1); // the op's adjacent [u, v] pair
     let u = batch[2 * i].load(Ordering::Relaxed);
     let v = batch[2 * i + 1].load(Ordering::Relaxed);
@@ -865,7 +864,11 @@ fn k_edge(
                 }
                 chunk = cend;
             }
-            assert!(found != usize::MAX, "delete of edge absent on device");
+            if found == usize::MAX {
+                return Err(KernelError::Other(format!(
+                    "delete of edge {a}-{b} absent on device"
+                )));
+            }
             let last = o + l - 1;
             if found != last {
                 let w = blk.gread(&adjb[last]);
@@ -883,67 +886,39 @@ fn k_edge(
             }
         }
     }
-    Ok(())
-}
-
-/// PCD prune kernel (one block): for each insertion root `r`, computes
-/// `pcd(r) = |{x ∈ N(r) : core(x) > k ∨ (core(x) == k ∧ mcd(x) > k)}|`
-/// against the post-insert structure and raises `meta[2]` if any root has
-/// `pcd > k`. If no root does, no core number can rise and the insertion
-/// retires without a traversal.
-fn k_prune(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    roots: &[u32],
-    k: u32,
-) -> Result<(), KernelError> {
-    let dev = blk.device;
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
-    let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
-    let mcd = dev.buffer(p.d_mcd);
-    let meta = dev.buffer(p.d_meta);
-    blk.gwrite(&meta[2], 0);
-    for &r in roots {
-        let r = r as usize;
-        blk.charge_sector(2);
-        let o = off[r].load(Ordering::Relaxed) as usize;
-        let l = lenb[r].load(Ordering::Relaxed) as usize;
-        let mut pcd = 0u32;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut cs = [0u32; 32];
-            let mut ms = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
-            blk.gather(mcd, &idxs, &mut ms, Coalescing::Classified);
-            for t in 0..cnt {
-                if cs[t] > k || (cs[t] == k && ms[t] > k) {
-                    pcd += 1;
-                }
-            }
-            blk.charge_instr(1);
-            chunk = cend;
+    let k = cu.min(cv);
+    let roots: Vec<u32> = [(u, cu), (v, cv)]
+        .iter()
+        .filter(|&&(_, c)| c == k)
+        .map(|&(x, _)| x)
+        .collect();
+    let live = if insert {
+        let mut lift = false;
+        for &r in &roots {
+            lift |= pcd_of(blk, p, r as usize, k) > k;
         }
-        if pcd > k {
-            blk.gwrite(&meta[2], 1);
+        if !lift {
+            blk.atomic_add(&meta[M_PRUNED], 1);
         }
+        lift
+    } else {
+        k > 0
+    };
+    blk.gwrite(&meta[M_K], k);
+    blk.gwrite(&meta[M_ROOTS], if live { roots.len() as u32 } else { 0 });
+    for (j, &r) in roots.iter().enumerate() {
+        blk.gwrite(&meta[M_ROOT + j], r);
     }
+    blk.gwrite(&meta[M_CAND], 0);
+    blk.gwrite(&meta[M_DIRTY], 0);
     Ok(())
 }
 
-/// Per-block state of the stepped traversal kernels: shared `[s, e]` and
-/// the wave's planned appendees.
+/// Per-block state of the stepped traversal kernels: shared `[s, e]`, the
+/// op's `K` and the wave's planned appendees.
 struct TravState {
     se: SharedArray,
+    k: u32,
     planned: Vec<u32>,
 }
 
@@ -957,73 +932,92 @@ fn overflow(b: u32, what: &str, cap: usize) -> KernelError {
     }
 }
 
-/// Subcore search, init phase (serial, block order): stripes the roots over
-/// blocks, test-sets their visited flag, appends them to the candidate list
-/// (cursor `meta[0]`) and this block's frontier. For deletions
-/// (`seed_mcd`), seeds `sup[r] = mcd[r]` — for a core-`k` vertex MCD *is*
-/// the deletion-cascade support.
+/// This block's slice of the frontier buffers.
+fn frontier<'a>(blk: &BlockCtx<'a>, p: &DynParams) -> &'a [AtomicU32] {
+    let b = blk.block_idx as usize;
+    &blk.device.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap]
+}
+
+/// Appends `x` to this block's frontier `bufb` at cursor `e`.
+fn push(
+    blk: &mut BlockCtx<'_>,
+    bufb: &[AtomicU32],
+    e: &mut u32,
+    x: usize,
+    what: &str,
+) -> Result<(), KernelError> {
+    if *e as usize >= bufb.len() {
+        return Err(overflow(blk.block_idx, what, bufb.len()));
+    }
+    blk.gwrite(&bufb[*e as usize], x as u32);
+    *e += 1;
+    Ok(())
+}
+
+/// Subcore visit: test-sets `x`'s visited flag; a first visit appends `x`
+/// to the candidate list (cursor `M_CAND`) and this block's frontier. For
+/// deletions (`seed_mcd`) it seeds `sup[x] = mcd[x]` — for a core-`k`
+/// vertex MCD *is* the deletion-cascade support.
+fn visit(
+    blk: &mut BlockCtx<'_>,
+    p: &DynParams,
+    e: &mut u32,
+    x: usize,
+    seed_mcd: bool,
+) -> Result<(), KernelError> {
+    let dev = blk.device;
+    if blk.atomic_add(&dev.buffer(p.d_flag)[x], 1) != 0 {
+        return Ok(());
+    }
+    let slot = blk.atomic_add(&dev.buffer(p.d_meta)[M_CAND], 1) as usize;
+    blk.gwrite(&dev.buffer(p.d_cand)[slot], x as u32);
+    if seed_mcd {
+        let m = blk.gread(&dev.buffer(p.d_mcd)[x]);
+        blk.gwrite(&dev.buffer(p.d_sup)[x], m);
+    }
+    push(blk, frontier(blk, p), e, x, "subcore")
+}
+
+/// Subcore search, init phase (serial, block order): reads the op's `K`
+/// and roots from `dyn.meta` and stripes the roots over blocks, visiting
+/// each. A retired op has no roots, so every block retires at once.
 fn bfs_init(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    roots: &[u32],
     seed_mcd: bool,
 ) -> Result<TravState, KernelError> {
-    let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let blocks = blk.cfg.blocks as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
-    let flag = dev.buffer(p.d_flag);
-    let cand = dev.buffer(p.d_cand);
-    let sup = dev.buffer(p.d_sup);
-    let mcd = dev.buffer(p.d_mcd);
-    let meta = dev.buffer(p.d_meta);
+    let meta = blk.device.buffer(p.d_meta);
     let se = blk.shared_alloc(2)?;
+    let k = blk.gread(&meta[M_K]);
+    let roots = blk.gread(&meta[M_ROOTS]) as usize;
     let mut e = 0u32;
-    for (idx, &r) in roots.iter().enumerate() {
-        if idx % blocks != b {
-            continue;
-        }
-        let old = blk.atomic_add(&flag[r as usize], 1);
-        if old == 0 {
-            let slot = blk.atomic_add(&meta[0], 1) as usize;
-            blk.gwrite(&cand[slot], r);
-            if seed_mcd {
-                let m = blk.gread(&mcd[r as usize]);
-                blk.gwrite(&sup[r as usize], m);
-            }
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "subcore", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], r);
-            e += 1;
-        }
+    for idx in (blk.block_idx as usize..roots).step_by(blk.cfg.blocks as usize) {
+        let r = blk.gread(&meta[M_ROOT + idx]) as usize;
+        visit(blk, p, &mut e, r, seed_mcd)?;
     }
     blk.sh_write(se, 0, 0);
     blk.sh_write(se, 1, e);
     Ok(TravState {
         se,
+        k,
         planned: Vec::new(),
     })
 }
 
-/// Subcore search, plan half: reads this wave's frontier slice
-/// and walks each vertex's adjacency, ballot-compacting the core-`k`
-/// neighbors. Touches only launch-immutable buffers (offset / len / adj /
-/// core) — the visited flags are commit's.
-fn bfs_plan(
+/// Plan half of both traversals: reads this wave's frontier slice and
+/// walks each vertex's adjacency, ballot-compacting the neighbors whose
+/// `sel` word passes `keep` — core `k` for the subcore search, the
+/// candidate flag for the cascade. Reads only buffers that are immutable
+/// during the launch; every write is commit's.
+fn plan_wave(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
-    k: u32,
+    sel: BufferId,
+    keep: impl Fn(u32) -> bool,
 ) -> Result<TravPlan, KernelError> {
-    let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
-    let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
-
+    let bufb = frontier(blk, p);
+    let selb = blk.device.buffer(sel);
     blk.sync_threads();
     let s = blk.sh_read(st.se, 0) as u64;
     let e = blk.sh_read(st.se, 1) as u64;
@@ -1038,44 +1032,29 @@ fn bfs_plan(
     st.planned.clear();
     for w in 0..batch {
         let v = blk.gread_dependent(&bufb[(s + w) as usize]) as usize;
-        blk.charge_sector(2);
-        let o = off[v].load(Ordering::Relaxed) as usize;
-        let l = lenb[v].load(Ordering::Relaxed) as usize;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut cs = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
+        walk_adj(blk, p, v, |blk, idxs| {
+            let mut ws = [0u32; 32];
+            blk.gather(selb, idxs, &mut ws, Coalescing::Classified);
             let mut bits = 0u32;
-            for t in 0..cnt {
-                if cs[t] == k {
+            for (t, &x) in ws[..idxs.len()].iter().enumerate() {
+                if keep(x) {
                     bits |= 1 << t;
                 }
             }
             let (_offs, total) = ballot_scan_offsets(blk, bits);
             if total > 0 {
-                for t in 0..cnt {
+                for (t, &x) in idxs.iter().enumerate() {
                     if bits >> t & 1 == 1 {
-                        st.planned.push(idxs[t] as u32);
+                        st.planned.push(x as u32);
                     }
                 }
             }
-            chunk = cend;
-        }
+        });
     }
     Ok(Some((s, batch)))
 }
 
-/// Subcore search, commit half: test-sets each
-/// planned neighbor's flag; first visit appends it to the candidate list
-/// and this block's frontier, seeding support from MCD for deletions.
+/// Subcore search, commit half: visits each planned neighbor.
 fn bfs_commit(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
@@ -1086,211 +1065,88 @@ fn bfs_commit(
     let Some((s, batch)) = plan else {
         return Ok(false);
     };
-    let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
-    let flag = dev.buffer(p.d_flag);
-    let cand = dev.buffer(p.d_cand);
-    let sup = dev.buffer(p.d_sup);
-    let mcd = dev.buffer(p.d_mcd);
-    let meta = dev.buffer(p.d_meta);
-    let mut e = blk.sh_peek(st.se, 1) as u64;
+    let mut e = blk.sh_peek(st.se, 1);
     for idx in 0..st.planned.len() {
-        let x = st.planned[idx] as usize;
-        let old = blk.atomic_add(&flag[x], 1);
-        if old == 0 {
-            let slot = blk.atomic_add(&meta[0], 1) as usize;
-            blk.gwrite(&cand[slot], x as u32);
-            if seed_mcd {
-                let m = blk.gread(&mcd[x]);
-                blk.gwrite(&sup[x], m);
-            }
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "subcore", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], x as u32);
-            e += 1;
-        }
+        visit(blk, p, &mut e, st.planned[idx] as usize, seed_mcd)?;
     }
-    blk.sh_poke(st.se, 1, e as u32);
+    blk.sh_poke(st.se, 1, e);
     blk.sh_write(st.se, 0, (s + batch) as u32);
     Ok(true)
 }
 
-/// Support kernel (insertions): for each candidate `v`,
-/// `sup[v] = |{x ∈ N(v) : core(x) > k ∨ flag(x)}|` — supporters either
-/// already above `k` or fellow candidates. Plain launch: `flag` is
-/// immutable here, writes are block-disjoint.
-fn k_support(
+/// The cascade's eviction threshold and a deletion's dropped core: a
+/// deletion evicts below `k` and drops the core to `k - 1` at once (a
+/// deletion with candidates has `k >= 1`); an insertion evicts below
+/// `k + 1`, and its survivors rise at commit.
+fn cascade_rule(insert: bool, k: u32) -> (u32, Option<u32>) {
+    if insert {
+        (k + 1, None)
+    } else {
+        (k, Some(k.saturating_sub(1)))
+    }
+}
+
+/// Evicts `x`: marks it, applies a deletion's core drop and appends it to
+/// this block's frontier.
+fn evict(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    k: u32,
-    cand_n: usize,
+    e: &mut u32,
+    x: usize,
+    drop_to: Option<u32>,
 ) -> Result<(), KernelError> {
     let dev = blk.device;
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
-    let adjb = dev.buffer(p.d_adj);
-    let core = dev.buffer(p.d_core);
-    let flag = dev.buffer(p.d_flag);
-    let sup = dev.buffer(p.d_sup);
-    let cand = dev.buffer(p.d_cand);
-    let blocks = blk.cfg.blocks as usize;
-    let mut i = blk.block_idx as usize;
-    while i < cand_n {
-        let v = blk.gread(&cand[i]) as usize;
-        blk.charge_sector(2);
-        let o = off[v].load(Ordering::Relaxed) as usize;
-        let l = lenb[v].load(Ordering::Relaxed) as usize;
-        let mut m = 0u32;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut cs = [0u32; 32];
-            let mut fs = [0u32; 32];
-            blk.gather(core, &idxs, &mut cs, Coalescing::Classified);
-            blk.gather(flag, &idxs, &mut fs, Coalescing::Classified);
-            for t in 0..cnt {
-                if cs[t] > k || fs[t] != 0 {
-                    m += 1;
-                }
-            }
-            blk.charge_instr(1);
-            chunk = cend;
-        }
-        blk.gwrite(&sup[v], m);
-        i += blocks;
+    blk.gwrite(&dev.buffer(p.d_evic)[x], 1);
+    if let Some(c) = drop_to {
+        blk.gwrite(&dev.buffer(p.d_core)[x], c);
     }
-    Ok(())
+    push(blk, frontier(blk, p), e, x, "cascade")
 }
 
 /// Eviction cascade, init phase (serial, block order): stripes the
-/// candidate list over blocks and immediately evicts every candidate whose
-/// support is already below `thresh` — writing `evic`, the changed list
-/// (cursor `meta[1]`), optionally the dropped core value, and this block's
-/// frontier.
+/// candidate list over blocks and evicts every candidate whose support is
+/// already below the threshold. An insertion computes that support here
+/// ([`support_of`]): `core` and `flag` are immutable during its cascade,
+/// and every block finishes this lap before the first wave evicts. A
+/// deletion's support was seeded from MCD by the subcore search.
 fn casc_init(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    thresh: u32,
-    drop_to: Option<u32>,
+    insert: bool,
 ) -> Result<TravState, KernelError> {
     let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let blocks = blk.cfg.blocks as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
     let cand = dev.buffer(p.d_cand);
     let sup = dev.buffer(p.d_sup);
-    let evic = dev.buffer(p.d_evic);
-    let core = dev.buffer(p.d_core);
-    let chg = dev.buffer(p.d_chg);
     let meta = dev.buffer(p.d_meta);
     let se = blk.shared_alloc(2)?;
-    let cand_n = blk.gread(&meta[0]) as usize;
+    let k = blk.gread(&meta[M_K]);
+    let cand_n = blk.gread(&meta[M_CAND]) as usize;
+    let (thresh, drop_to) = cascade_rule(insert, k);
     let mut e = 0u32;
-    let mut i = b;
-    while i < cand_n {
+    for i in (blk.block_idx as usize..cand_n).step_by(blk.cfg.blocks as usize) {
         let v = blk.gread(&cand[i]) as usize;
-        let sv = blk.gread(&sup[v]);
+        let sv = if insert {
+            let s = support_of(blk, p, v, k);
+            blk.gwrite(&sup[v], s);
+            s
+        } else {
+            blk.gread(&sup[v])
+        };
         if sv < thresh {
-            blk.gwrite(&evic[v], 1);
-            if let Some(c) = drop_to {
-                blk.gwrite(&core[v], c);
-            }
-            let slot = blk.atomic_add(&meta[1], 1) as usize;
-            blk.gwrite(&chg[slot], v as u32);
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "cascade", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], v as u32);
-            e += 1;
+            evict(blk, p, &mut e, v, drop_to)?;
         }
-        i += blocks;
     }
     blk.sh_write(se, 0, 0);
     blk.sh_write(se, 1, e);
     Ok(TravState {
         se,
+        k,
         planned: Vec::new(),
     })
 }
 
-/// Eviction cascade, plan half: walks each evicted vertex's
-/// adjacency and ballot-compacts the neighbors inside the candidate set
-/// (`flag`, immutable during the cascade). Support, eviction marks and
-/// cores are commit's.
-fn casc_plan(
-    blk: &mut BlockCtx<'_>,
-    st: &mut TravState,
-    p: &DynParams,
-) -> Result<TravPlan, KernelError> {
-    let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
-    let off = dev.buffer(p.d_off);
-    let lenb = dev.buffer(p.d_len);
-    let adjb = dev.buffer(p.d_adj);
-    let flag = dev.buffer(p.d_flag);
-
-    blk.sync_threads();
-    let s = blk.sh_read(st.se, 0) as u64;
-    let e = blk.sh_read(st.se, 1) as u64;
-    if s == e {
-        blk.sync_threads();
-        return Ok(None);
-    }
-    let warps = blk.num_warps() as u64;
-    let batch = warps.min(e - s);
-    blk.sync_threads();
-    blk.charge_instr(warps);
-    st.planned.clear();
-    for w in 0..batch {
-        let v = blk.gread_dependent(&bufb[(s + w) as usize]) as usize;
-        blk.charge_sector(2);
-        let o = off[v].load(Ordering::Relaxed) as usize;
-        let l = lenb[v].load(Ordering::Relaxed) as usize;
-        let mut chunk = o;
-        let oe = o + l;
-        while chunk < oe {
-            let cend = (chunk + 32).min(oe);
-            let cnt = cend - chunk;
-            blk.sync_warp();
-            blk.charge_tx(BlockCtx::coalesced_tx(cnt as u64));
-            let idxs: Vec<usize> = (chunk..cend)
-                .map(|j| adjb[j].load(Ordering::Relaxed) as usize)
-                .collect();
-            let mut fs = [0u32; 32];
-            blk.gather(flag, &idxs, &mut fs, Coalescing::Classified);
-            let mut bits = 0u32;
-            for t in 0..cnt {
-                if fs[t] != 0 {
-                    bits |= 1 << t;
-                }
-            }
-            let (_offs, total) = ballot_scan_offsets(blk, bits);
-            if total > 0 {
-                for t in 0..cnt {
-                    if bits >> t & 1 == 1 {
-                        st.planned.push(idxs[t] as u32);
-                    }
-                }
-            }
-            chunk = cend;
-        }
-    }
-    Ok(Some((s, batch)))
-}
-
-/// Eviction cascade, commit half: decrements each
-/// planned candidate's support; a decrement from exactly `thresh` evicts —
-/// mark, changed-list append, optional core drop, frontier append. An
+/// Eviction cascade, commit half: decrements each planned un-evicted
+/// candidate's support; a decrement from exactly the threshold evicts. An
 /// un-evicted candidate always has `sup >= thresh >= 1`, so the decrement
 /// cannot underflow.
 fn casc_commit(
@@ -1298,21 +1154,16 @@ fn casc_commit(
     st: &mut TravState,
     plan: TravPlan,
     p: &DynParams,
-    thresh: u32,
-    drop_to: Option<u32>,
+    insert: bool,
 ) -> Result<bool, KernelError> {
     let Some((s, batch)) = plan else {
         return Ok(false);
     };
     let dev = blk.device;
-    let b = blk.block_idx as usize;
-    let bufb = &dev.buffer(p.d_buf)[b * p.bufcap..(b + 1) * p.bufcap];
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
-    let core = dev.buffer(p.d_core);
-    let chg = dev.buffer(p.d_chg);
-    let meta = dev.buffer(p.d_meta);
-    let mut e = blk.sh_peek(st.se, 1) as u64;
+    let (thresh, drop_to) = cascade_rule(insert, st.k);
+    let mut e = blk.sh_peek(st.se, 1);
     for idx in 0..st.planned.len() {
         let x = st.planned[idx] as usize;
         if blk.gread(&evic[x]) != 0 {
@@ -1321,61 +1172,114 @@ fn casc_commit(
         let old = blk.atomic_sub(&sup[x], 1);
         debug_assert!(old >= thresh, "support underflow on un-evicted candidate");
         if old == thresh {
-            blk.gwrite(&evic[x], 1);
-            if let Some(c) = drop_to {
-                blk.gwrite(&core[x], c);
-            }
-            let slot = blk.atomic_add(&meta[1], 1) as usize;
-            blk.gwrite(&chg[slot], x as u32);
-            if e as usize >= p.bufcap {
-                return Err(overflow(blk.block_idx, "cascade", p.bufcap));
-            }
-            blk.gwrite(&bufb[e as usize], x as u32);
-            e += 1;
+            evict(blk, p, &mut e, x, drop_to)?;
         }
     }
-    blk.sh_poke(st.se, 1, e as u32);
+    blk.sh_poke(st.se, 1, e);
     blk.sh_write(st.se, 0, (s + batch) as u32);
     Ok(true)
 }
 
-/// Commit/cleanup kernel: for insertions (`rise`), survivors (un-evicted
-/// candidates) get core `k + 1`; then every candidate's flag / eviction
-/// mark / support is zeroed for the next op and block 0 resets the list
-/// cursors. Plain launch: stripes are block-disjoint, `meta` is block 0's.
-fn k_commit(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    k: u32,
-    rise: bool,
-    cand_n: usize,
-) -> Result<(), KernelError> {
+/// Whether candidate `v` changed core: an insertion's survivors rose, a
+/// deletion's evictees dropped.
+fn changed(blk: &mut BlockCtx<'_>, p: &DynParams, v: usize, insert: bool) -> bool {
+    (blk.gread(&blk.device.buffer(p.d_evic)[v]) == 0) == insert
+}
+
+/// Commit kernel: raises an insertion's survivors to `k + 1` and appends
+/// every changed candidate to the batch's change log (`dyn.log`, cursor =
+/// the batch's changed counter; changes past the log's capacity are
+/// counted but not stored). Zeroes each candidate's support, which the
+/// MCD refresh reuses as its claim mark; block 0 adds the op's candidate
+/// count to the batch counter. Plain launch: stripes are block-disjoint.
+fn k_commit(blk: &mut BlockCtx<'_>, p: &DynParams, insert: bool) -> Result<(), KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
-    let flag = dev.buffer(p.d_flag);
-    let evic = dev.buffer(p.d_evic);
     let sup = dev.buffer(p.d_sup);
     let core = dev.buffer(p.d_core);
+    let log = dev.buffer(p.d_log);
     let meta = dev.buffer(p.d_meta);
-    let blocks = blk.cfg.blocks as usize;
-    let b = blk.block_idx as usize;
-    if b == 0 {
-        blk.gwrite(&meta[0], 0);
-        blk.gwrite(&meta[1], 0);
-        blk.gwrite(&meta[2], 0);
+    let k = blk.gread(&meta[M_K]);
+    let cand_n = blk.gread(&meta[M_CAND]);
+    if blk.block_idx == 0 && cand_n > 0 {
+        add_wide(blk, meta, M_CANDIDATES, cand_n);
     }
-    let mut i = b;
-    while i < cand_n {
+    for i in (blk.block_idx as usize..cand_n as usize).step_by(blk.cfg.blocks as usize) {
         let v = blk.gread(&cand[i]) as usize;
-        if rise && blk.gread(&evic[v]) == 0 {
-            blk.gwrite(&core[v], k + 1);
+        if changed(blk, p, v, insert) {
+            let c = if insert { k + 1 } else { k - 1 };
+            if insert {
+                blk.gwrite(&core[v], c);
+            }
+            let slot = add_wide(blk, meta, M_CHANGED, 1) as usize;
+            if slot < p.logcap {
+                blk.gwrite(&log[2 * slot], v as u32);
+                blk.gwrite(&log[2 * slot + 1], c);
+            }
         }
-        blk.gwrite(&flag[v], 0);
-        blk.gwrite(&evic[v], 0);
         blk.gwrite(&sup[v], 0);
-        i += blocks;
     }
     Ok(())
+}
+
+/// Claims `x` for the MCD refresh: the first claim (support word `0 → 1`)
+/// appends it to `dyn.dirty`.
+fn claim(blk: &mut BlockCtx<'_>, p: &DynParams, x: usize) {
+    let dev = blk.device;
+    if blk.atomic_add(&dev.buffer(p.d_sup)[x], 1) == 0 {
+        let slot = blk.atomic_add(&dev.buffer(p.d_meta)[M_DIRTY], 1) as usize;
+        blk.gwrite(&dev.buffer(p.d_dirty)[slot], x as u32);
+    }
+}
+
+/// MCD refresh, init phase (serial, block order): every changed candidate
+/// claims itself and its neighbors — exactly the vertices whose MCD a set
+/// of core changes can disturb — onto the deduplicated refresh list
+/// (cursor `M_DIRTY`). Every block claims before any block recomputes.
+fn refresh_claim(blk: &mut BlockCtx<'_>, p: &DynParams, insert: bool) -> Result<(), KernelError> {
+    let dev = blk.device;
+    let cand = dev.buffer(p.d_cand);
+    let cand_n = blk.gread(&dev.buffer(p.d_meta)[M_CAND]) as usize;
+    for i in (blk.block_idx as usize..cand_n).step_by(blk.cfg.blocks as usize) {
+        let v = blk.gread(&cand[i]) as usize;
+        if changed(blk, p, v, insert) {
+            claim(blk, p, v);
+            walk_adj(blk, p, v, |blk, idxs| {
+                for &x in idxs {
+                    claim(blk, p, x);
+                }
+            });
+        }
+    }
+    Ok(())
+}
+
+/// MCD refresh, the one wave: recomputes MCD over this block's stripe of
+/// the refresh list and drops the claims, then clears the stripe's
+/// candidate flags and eviction marks — every per-op array is zero again
+/// for the next op.
+fn refresh_mcd(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<bool, KernelError> {
+    let dev = blk.device;
+    let (cand, dirty, meta) = (
+        dev.buffer(p.d_cand),
+        dev.buffer(p.d_dirty),
+        dev.buffer(p.d_meta),
+    );
+    let (b, blocks) = (blk.block_idx as usize, blk.cfg.blocks as usize);
+    let dirty_n = blk.gread(&meta[M_DIRTY]) as usize;
+    for i in (b..dirty_n).step_by(blocks) {
+        let x = blk.gread(&dirty[i]) as usize;
+        let m = mcd_of(blk, p, x);
+        blk.gwrite(&dev.buffer(p.d_mcd)[x], m);
+        blk.gwrite(&dev.buffer(p.d_sup)[x], 0);
+    }
+    let cand_n = blk.gread(&meta[M_CAND]) as usize;
+    for i in (b..cand_n).step_by(blocks) {
+        let v = blk.gread(&cand[i]) as usize;
+        blk.gwrite(&dev.buffer(p.d_flag)[v], 0);
+        blk.gwrite(&dev.buffer(p.d_evic)[v], 0);
+    }
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -1650,6 +1554,97 @@ mod tests {
         let c = run(true, 1);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn maintained_batches_stay_within_the_sync_budget() {
+        // Mixed churn: random-pair inserts interleaved with deletes of the
+        // base graph's own edges, so both traversal directions run.
+        let g = gen::erdos_renyi_gnm(120, 360, 5);
+        let edges: Vec<(u32, u32)> = (0..g.num_vertices())
+            .flat_map(|u| g.neighbors(u).iter().map(move |&v| (u, v)))
+            .filter(|&(u, v)| u < v)
+            .collect();
+        let mut state = 0x9e37_79b9u32;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let ops: Vec<EdgeUpdate> = (0..192)
+            .map(|i| {
+                if i % 2 == 0 {
+                    EdgeUpdate::Insert(rng() % 120, rng() % 120)
+                } else {
+                    let (u, v) = edges[rng() as usize % edges.len()];
+                    EdgeUpdate::Delete(u, v)
+                }
+            })
+            .collect();
+        let capacity = 16;
+        let mut log_overflows = 0;
+        for bs in [1usize, 16, 64] {
+            let cfg = DynamicConfig {
+                batch_capacity: capacity,
+                crossover: usize::MAX,
+                ..small_cfg()
+            };
+            let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, cfg).unwrap();
+            let (mut deletes, mut traversals) = (0, 0);
+            for (bi, batch) in ops.chunks(bs).enumerate() {
+                let (l0, t0, r0) = (
+                    dc.ctx().launches().len(),
+                    dc.ctx().transfers().len(),
+                    dc.rebuilds(),
+                );
+                let rep = dc.apply_batch(batch).unwrap();
+                let net = rep.net_inserts + rep.net_deletes;
+                deletes += rep.net_deletes;
+                traversals += usize::from(rep.candidates > 0);
+                log_overflows += usize::from(rep.changed > capacity as u64);
+                let new = &dc.ctx().transfers()[t0..];
+                let h2d = new
+                    .iter()
+                    .filter(|t| t.dir == kcore_gpusim::TransferDir::HostToDevice)
+                    .count();
+                let d2h = new.len() - h2d;
+                let rebuild_uploads = 3 * (dc.rebuilds() - r0) as usize;
+                let launches = dc.ctx().launches().len() - l0;
+                let what = format!("batch size {bs}, batch {bi} ({net} net)");
+                assert_ne!(rep.path, BatchPath::Repeeled, "{what}");
+                assert!(
+                    h2d <= net.div_ceil(capacity) + rebuild_uploads,
+                    "{what}: {h2d} H2D copies"
+                );
+                assert!(d2h <= 2, "{what}: {d2h} D2H copies");
+                assert!(launches <= 5 * net, "{what}: {launches} launches");
+                assert_consistent(&mut dc);
+            }
+            assert!(
+                deletes > 0 && traversals > 0,
+                "the stream must exercise both paths"
+            );
+        }
+        // Some batches change more cores than the log holds: the full
+        // core readback must keep the host mirror exact too.
+        assert!(log_overflows > 0, "no batch overflowed the change log");
+    }
+
+    #[test]
+    fn device_mirror_divergence_is_an_error_not_a_crash() {
+        let g = fig1_graph();
+        let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, small_cfg()).unwrap();
+        // Empty vertex 0's device adjacency behind the mirror's back: the
+        // mirror still accepts the delete, the device cannot find the edge.
+        dc.ctx.device.buffer(dc.p.d_len)[0].store(0, Ordering::Relaxed);
+        let err = dc
+            .apply_batch(&[EdgeUpdate::Delete(0, g.neighbors(0)[0])])
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::Kernel(KernelError::Other(_))),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
