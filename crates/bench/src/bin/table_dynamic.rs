@@ -10,8 +10,8 @@
 //! spaced points of the same stream (graph size barely moves, so the
 //! sample mean is representative). The measured maintenance/re-peel
 //! **crossover** — the net batch size at which one re-peel becomes cheaper
-//! than per-edge maintenance — is derived from the largest-batch run's cost
-//! per *net* update (the unit [`DynamicConfig::crossover`] counts) and
+//! than round-based maintenance — is derived from the largest-batch run's
+//! cost per *net* update (the unit [`DynamicConfig::crossover`] counts) and
 //! reported next to the engine's configured fallback threshold. Each row
 //! also splits its simulated time into launch overhead, PCIe transfers and
 //! kernel work, summed from the run's per-phase trace rollups.
@@ -19,8 +19,11 @@
 //! `--check` additionally verifies the final core numbers of every run
 //! against a from-scratch BZ peel of the final graph, asserts that the
 //! per-phase trace time equals the summed batch reports and that no
-//! maintained batch reads back more than twice (and, at full scale, the
-//! ≥ 10x acceptance bar); `KCORE_SMOKE=1` shrinks the workload to CI size.
+//! maintained batch reads back more than twice or launches more than five
+//! kernels per matching round, and drives oracle-checked smoke batches:
+//! disjoint pairs (one round) and a hub star (one round per edge), each
+//! inserted and then deleted (at full scale also the ≥ 10x acceptance
+//! bar); `KCORE_SMOKE=1` shrinks the workload to CI size.
 
 use kcore_bench::{print_table, save_json};
 use kcore_cpu::{bz, incremental::DynamicGraph, CoreAlgorithm};
@@ -34,6 +37,8 @@ struct Row {
     batch_size: usize,
     /// Net updates the engine applied (accepted, after cancellation).
     net: usize,
+    /// Matching rounds the maintained batches ran.
+    rounds: usize,
     sim_ms: f64,
     /// `sim_ms` split: launch overhead, PCIe transfers, kernel work.
     launch_ms: f64,
@@ -57,7 +62,7 @@ struct Table {
     repeel_avg_ms: f64,
     baseline_updates_per_sec: f64,
     /// Measured: net updates at which one full re-peel costs less than
-    /// per-edge maintenance (derived from the largest-batch run's cost per
+    /// maintenance (derived from the largest-batch run's cost per
     /// net update).
     crossover_updates: u64,
     /// [`DynamicConfig::auto_crossover`] on the same measurements — what the
@@ -159,26 +164,34 @@ fn main() {
         let before = sim_split(&dc.ctx_mut().trace("init"));
         let mut sim_ms = 0.0;
         let mut net = 0usize;
+        let mut rounds = 0usize;
         let mut batches = 0usize;
         let mut repeeled = 0usize;
         let mut pruned = 0usize;
         let mut candidates = 0u64;
         let mut changed = 0u64;
         for batch in ops.chunks(bs) {
-            let t0 = dc.ctx().transfers().len();
+            let (l0, t0) = (dc.ctx().launches().len(), dc.ctx().transfers().len());
             let rep = dc.apply_batch(batch).expect("apply_batch");
             let d2h = dc.ctx().transfers()[t0..]
                 .iter()
                 .filter(|t| t.dir == TransferDir::DeviceToHost)
                 .count();
+            let launches = dc.ctx().launches().len() - l0;
             if check && rep.path == BatchPath::Maintained {
                 assert!(
                     d2h <= 2,
                     "batch size {bs}: a maintained batch read back {d2h} times (budget 2)"
                 );
+                assert!(
+                    launches <= 5 * rep.rounds,
+                    "batch size {bs}: {launches} launches for {} rounds (budget 5 per round)",
+                    rep.rounds
+                );
             }
             sim_ms += rep.sim_ms;
             net += rep.net_inserts + rep.net_deletes;
+            rounds += rep.rounds;
             batches += 1;
             repeeled += usize::from(rep.path == BatchPath::Repeeled);
             pruned += rep.pruned_inserts;
@@ -211,6 +224,7 @@ fn main() {
         rows.push(Row {
             batch_size: bs,
             net,
+            rounds,
             sim_ms,
             launch_ms,
             transfer_ms,
@@ -235,8 +249,8 @@ fn main() {
     let auto_crossover = DynamicConfig::auto_crossover(repeel_avg_ms, per_net_update_ms);
 
     let headers: Vec<String> = [
-        "Batch", "net", "sim ms", "launch", "xfer", "work", "upd/s", "vs peel", "repeels",
-        "pruned", "cand", "changed",
+        "Batch", "net", "rounds", "sim ms", "launch", "xfer", "work", "upd/s", "vs peel",
+        "repeels", "pruned", "cand", "changed",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -247,6 +261,7 @@ fn main() {
             vec![
                 r.batch_size.to_string(),
                 r.net.to_string(),
+                r.rounds.to_string(),
                 format!("{:.2}", r.sim_ms),
                 format!("{:.2}", r.launch_ms),
                 format!("{:.2}", r.transfer_ms),
@@ -262,6 +277,7 @@ fn main() {
         .collect();
     txt.push(vec![
         "re-peel".into(),
+        "-".into(),
         "-".into(),
         format!("{repeel_avg_ms:.2}"),
         "-".into(),
@@ -331,25 +347,39 @@ fn main() {
             auto_crossover as u64, crossover_updates,
             "engine-derived crossover diverges from the table's measured one"
         );
-        // The ci.sh dynamic smoke proper: one pure-insert batch followed by
-        // one pure-delete batch of the same edges, oracle-checked after each.
-        let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, dyn_cfg.clone())
-            .expect("smoke engine init");
-        let mut orc = DynamicGraph::from_csr(&g);
-        let pairs: Vec<(u32, u32)> = (0..32u32).map(|i| (i, i + n / 2)).collect();
-        for mk in [
-            EdgeUpdate::Insert as fn(u32, u32) -> EdgeUpdate,
-            EdgeUpdate::Delete as fn(u32, u32) -> EdgeUpdate,
-        ] {
-            let batch: Vec<EdgeUpdate> = pairs.iter().map(|&(u, v)| mk(u, v)).collect();
-            dc.apply_batch(&batch).expect("smoke batch");
-            orc.apply_batch(&batch);
-            assert_eq!(dc.cores(), orc.cores(), "smoke batch diverges from oracle");
-            assert_eq!(
-                dc.cores(),
-                &bz::Bz.run(&orc.to_csr())[..],
-                "smoke batch diverges from from-scratch BZ"
-            );
+        // The ci.sh dynamic smoke proper: a pure-insert batch followed by a
+        // pure-delete batch of the same edges, oracle-checked after each —
+        // once over disjoint pairs (a single matching round), once over a
+        // hub star, whose shared endpoint forces one round per edge.
+        let disjoint: Vec<(u32, u32)> = (0..32u32).map(|i| (i, i + n / 2)).collect();
+        let star: Vec<(u32, u32)> = (1..=32u32).map(|i| (0, i)).collect();
+        for (what, pairs, round_per_edge) in
+            [("disjoint", disjoint, false), ("hub star", star, true)]
+        {
+            let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, dyn_cfg.clone())
+                .expect("smoke engine init");
+            let mut orc = DynamicGraph::from_csr(&g);
+            for mk in [
+                EdgeUpdate::Insert as fn(u32, u32) -> EdgeUpdate,
+                EdgeUpdate::Delete as fn(u32, u32) -> EdgeUpdate,
+            ] {
+                let batch: Vec<EdgeUpdate> = pairs.iter().map(|&(u, v)| mk(u, v)).collect();
+                let rep = dc.apply_batch(&batch).expect("smoke batch");
+                orc.apply_batch(&batch);
+                let net = rep.net_inserts + rep.net_deletes;
+                let want = if round_per_edge { net } else { net.min(1) };
+                assert_eq!(rep.rounds, want, "{what} smoke batch: {net} net updates");
+                assert_eq!(
+                    dc.cores(),
+                    orc.cores(),
+                    "{what} smoke batch diverges from oracle"
+                );
+                assert_eq!(
+                    dc.cores(),
+                    &bz::Bz.run(&orc.to_csr())[..],
+                    "{what} smoke batch diverges from from-scratch BZ"
+                );
+            }
         }
         if smoke {
             eprintln!("[table_dynamic] check OK (smoke scale; best speedup {best:.1}x)");

@@ -18,24 +18,27 @@
 //!
 //! Batches are *net-effect* processed: cores are a function of the final
 //! graph only, so cancelling insert/delete pairs are elided, duplicates and
-//! self-loops rejected, and the surviving updates grouped (deletes first,
-//! then inserts) and walked with per-edge theorem-backed traversals. The
-//! per-edge traversals are kernelized on [`kcore_gpusim`] with the same
-//! block-granularity frontier buffers, ballot compaction and
-//! plan/commit wave steps as the peel kernels — traces are
-//! bit-identical at any rayon pool size. Past [`DynamicConfig::crossover`]
-//! net updates the engine falls back to a from-scratch
-//! [`peel::decompose_in`], which is cheaper than massed traversals.
+//! self-loops rejected, and the surviving updates split into **matching
+//! rounds** — vertex-disjoint sets of only deletes or only inserts, deletes
+//! first. Inserting or deleting a matching changes every core by at most 1
+//! (Jin et al., TPDS 2018), so one joint subcore search and cascade repairs
+//! a whole round, with each vertex working at its own *level* (its core at
+//! round start). The rounds are kernelized on [`kcore_gpusim`] with the
+//! same block-granularity frontier buffers, ballot compaction and
+//! plan/commit wave steps as the peel kernels — traces are bit-identical
+//! at any rayon pool size. Past [`DynamicConfig::crossover`] net updates
+//! the engine falls back to a from-scratch [`peel::decompose_in`], which is
+//! cheaper than massed traversals.
 //!
-//! A maintained batch is device resident: each net update is five
-//! back-to-back kernels with no host round trip. The structural kernel
-//! decides the op — `K`, the roots, the prune verdict — into `dyn.meta`,
-//! and the subcore search, cascade, commit and MCD refresh read it from
-//! there. MCD counters stay exact on the device: the structural kernel
-//! applies the endpoint deltas and the refresh recomputes the changed
-//! vertices and their neighbors before the next op reads them. The host
-//! syncs once per batch, reading back the batch counters and a change log
-//! of `(vertex, new core)` pairs.
+//! A maintained batch is device resident: each round is five back-to-back
+//! kernels with no host round trip. The structural kernel splices the
+//! round's edges; the subcore search seeds from the roots the staged
+//! `[u, v]` pairs name, PCD-pruning insert roots; the cascade, commit and
+//! MCD refresh follow. MCD counters stay exact on the device: the
+//! structural kernel applies the endpoint deltas and the refresh recomputes
+//! the changed vertices and their neighbors before the next round reads
+//! them. The host syncs once per batch, reading back the batch counters
+//! and a change log of `(vertex, new core)` pairs.
 
 use crate::config::PeelConfig;
 use crate::peel;
@@ -45,7 +48,7 @@ use kcore_gpusim::{
     SimOptions, SizeClass,
 };
 use kcore_graph::{Csr, EdgeUpdate};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Tuning knobs of the dynamic engine.
@@ -124,7 +127,7 @@ impl DynamicConfig {
 pub enum BatchPath {
     /// Every accepted update cancelled out (or none were accepted).
     Noop,
-    /// Theorem-backed per-edge maintenance traversals.
+    /// Theorem-backed maintenance, one joint traversal per matching round.
     Maintained,
     /// Net updates reached [`DynamicConfig::crossover`]: from-scratch peel.
     Repeeled,
@@ -147,14 +150,16 @@ pub struct BatchReport {
     pub net_deletes: usize,
     /// The processing path taken.
     pub path: BatchPath,
-    /// Net updates grouped by `K = min(core(u), core(v))` at batch start,
-    /// ascending — the superior-edge groups of the classification phase.
-    pub groups: Vec<(u32, usize)>,
-    /// Total subcore candidates collected across the batch's traversals.
+    /// Matching rounds the maintained batch ran, one five-kernel pipeline
+    /// each (`0` unless maintained).
+    pub rounds: usize,
+    /// Subcore candidates summed over the batch's rounds; a round's
+    /// candidates are the union of its roots' subcores.
     pub candidates: u64,
     /// Total vertices whose core number changed.
     pub changed: u64,
-    /// Insertions retired by the PCD prune without any traversal.
+    /// Insertions whose every root the PCD prune retired, so that they seed
+    /// no traversal.
     pub pruned_inserts: usize,
     /// Lifetime adjacency rebuilds (slack exhaustion) so far.
     pub rebuilds: u64,
@@ -162,29 +167,23 @@ pub struct BatchReport {
     pub sim_ms: f64,
 }
 
-// `dyn.meta` word layout. Each op's structural kernel writes the per-op
-// words (`M_K` ..= `M_DIRTY`); the batch's first structural kernel zeroes
-// the batch counters (`M_PRUNED` ..), which the host reads back once, at
-// batch end.
+// `dyn.meta` word layout. Each round's structural kernel zeroes the round
+// cursors (`M_CAND`, `M_DIRTY`); the batch's first one also zeroes the
+// batch counters (`M_PRUNED` ..), which the host reads back once, at batch
+// end.
 
-/// The op's `K = min(core(u), core(v))`.
-const M_K: usize = 0;
-/// How many roots the subcore search starts from; `0` retires the op.
-const M_ROOTS: usize = 1;
-/// The roots: the op's core-`K` endpoints (two words).
-const M_ROOT: usize = 2;
 /// Candidate-list cursor (`dyn.cand`).
-const M_CAND: usize = 4;
+const M_CAND: usize = 0;
 /// MCD refresh-list cursor (`dyn.dirty`).
-const M_DIRTY: usize = 5;
+const M_DIRTY: usize = 1;
 /// Batch counter: insertions retired by the PCD prune.
-const M_PRUNED: usize = 6;
+const M_PRUNED: usize = 2;
 /// Batch counter: subcore candidates, 64-bit (low word, high word).
-const M_CANDIDATES: usize = 7;
+const M_CANDIDATES: usize = 3;
 /// Batch counter: core changes, 64-bit; the low word is the `dyn.log`
 /// cursor.
-const M_CHANGED: usize = 9;
-const META_WORDS: usize = 11;
+const M_CHANGED: usize = 5;
+const META_WORDS: usize = 7;
 
 /// Copyable bundle of everything the kernels need.
 #[derive(Clone, Copy)]
@@ -314,9 +313,10 @@ impl DynamicCore {
     /// Classification is host-side and sequential: each update is validated
     /// against the state the *prefix* of the batch leaves behind (so
     /// `Insert(a,b), Delete(a,b)` both count as accepted and then cancel).
-    /// Surviving net updates are staged to the device in
-    /// [`DynamicConfig::batch_capacity`]-sized chunks and processed deletes
-    /// first, each with its own theorem-backed traversal — or, past
+    /// Surviving net updates are split into matching rounds (deletes
+    /// first), staged to the device round by round in
+    /// [`DynamicConfig::batch_capacity`]-sized chunks and repaired with one
+    /// theorem-backed traversal per round — or, past
     /// [`DynamicConfig::crossover`], by one from-scratch peel. A maintained
     /// batch syncs once, at its end: one copy of the batch counters and one
     /// of the change log.
@@ -330,7 +330,7 @@ impl DynamicCore {
             net_inserts: 0,
             net_deletes: 0,
             path: BatchPath::Noop,
-            groups: Vec::new(),
+            rounds: 0,
             candidates: 0,
             changed: 0,
             pruned_inserts: 0,
@@ -381,12 +381,6 @@ impl DynamicCore {
         }
         rep.net_inserts = net_ins.len();
         rep.net_deletes = net_del.len();
-        let mut groups: BTreeMap<u32, usize> = BTreeMap::new();
-        for &(u, v) in net_del.iter().chain(net_ins.iter()) {
-            let k = self.core_host[u as usize].min(self.core_host[v as usize]);
-            *groups.entry(k).or_insert(0) += 1;
-        }
-        rep.groups = groups.into_iter().collect();
 
         drop(classify_span);
         let net = net_del.len() + net_ins.len();
@@ -399,17 +393,24 @@ impl DynamicCore {
         } else {
             rep.path = BatchPath::Maintained;
             let _maintain_span = self.ctx.host_span("dynamic/maintain");
-            let all: Vec<(bool, u32, u32)> = net_del
+            let rounds = matching_rounds(&net_del, &net_ins);
+            // Round by round, so each round is a contiguous slice of a
+            // staged chunk; a round cut by a chunk boundary runs as two.
+            let staged: Vec<(usize, u32, u32)> = rounds
                 .iter()
-                .map(|&(u, v)| (false, u, v))
-                .chain(net_ins.iter().map(|&(u, v)| (true, u, v)))
+                .enumerate()
+                .flat_map(|(r, (_, edges))| edges.iter().map(move |&(u, v)| (r, u, v)))
                 .collect();
-            for (c, chunk) in all.chunks(self.cfg.batch_capacity.max(1)).enumerate() {
+            for chunk in staged.chunks(self.cfg.batch_capacity.max(1)) {
                 self.ctx.set_phase("DynStruct");
                 let words: Vec<u32> = chunk.iter().flat_map(|&(_, u, v)| [u, v]).collect();
                 self.ctx.htod_into(self.p.d_batch, 0, &words)?;
-                for (i, &(ins, u, v)) in chunk.iter().enumerate() {
-                    self.enqueue_op(i, c == 0 && i == 0, ins, u, v)?;
+                let mut lo = 0;
+                for round in chunk.chunk_by(|a, b| a.0 == b.0) {
+                    let insert = rounds[round[0].0].0;
+                    self.enqueue_round(lo, round, insert, rep.rounds == 0)?;
+                    rep.rounds += 1;
+                    lo += round.len();
                 }
             }
         }
@@ -479,56 +480,55 @@ impl DynamicCore {
 
     // -- per-update processing ---------------------------------------------
 
-    /// Mirrors net update `i` of the staged chunk on the host, then
-    /// enqueues its five kernels: structural splice + PCD prune, subcore
-    /// search, support + eviction cascade, commit, MCD refresh. Nothing is
-    /// read back: every per-op decision lives in `dyn.meta`, and a retired
-    /// op's downstream kernels find no roots and do nothing. `first`
-    /// marks the batch's first op, whose structural kernel zeroes the
-    /// batch counters.
-    fn enqueue_op(
+    /// Mirrors one round — staged at `[lo, lo + ops.len())` of the chunk —
+    /// on the host, then enqueues its five kernels: structural splice,
+    /// PCD-pruned subcore search, support + eviction cascade, commit, MCD
+    /// refresh. Nothing is read back. A round gains each vertex at most one
+    /// arc, so one slack check before the splice covers it. `first` marks
+    /// the batch's first round, whose structural kernel zeroes the batch
+    /// counters.
+    fn enqueue_round(
         &mut self,
-        i: usize,
-        first: bool,
+        lo: usize,
+        ops: &[(usize, u32, u32)],
         insert: bool,
-        a: u32,
-        b: u32,
+        first: bool,
     ) -> Result<(), SimError> {
         self.ctx.set_phase("DynStruct");
-        let (ai, bi) = (a as usize, b as usize);
-        if insert {
-            if self.adj[ai].len() as u32 == self.cap[ai]
-                || self.adj[bi].len() as u32 == self.cap[bi]
-            {
-                self.rebuilds += 1;
-                self.rebuild_adjacency()?;
-            }
-            add_adj(&mut self.adj[ai], b);
-            add_adj(&mut self.adj[bi], a);
-            self.arcs += 2;
-        } else {
-            del_adj(&mut self.adj[ai], b);
-            del_adj(&mut self.adj[bi], a);
-            self.arcs -= 2;
+        let full = |v: u32| self.adj[v as usize].len() as u32 == self.cap[v as usize];
+        if insert && ops.iter().any(|&(_, a, b)| full(a) || full(b)) {
+            self.rebuilds += 1;
+            self.rebuild_adjacency()?;
         }
+        for &(_, a, b) in ops {
+            let (ai, bi) = (a as usize, b as usize);
+            if insert {
+                add_adj(&mut self.adj[ai], b);
+                add_adj(&mut self.adj[bi], a);
+                self.arcs += 2;
+            } else {
+                del_adj(&mut self.adj[ai], b);
+                del_adj(&mut self.adj[bi], a);
+                self.arcs -= 2;
+            }
+        }
+        let hi = lo + ops.len();
         let p = self.p;
         let cfg = self.cfg.launch;
-        let one = LaunchConfig { blocks: 1, ..cfg };
         let name = if insert {
             "dyn_edge_ins"
         } else {
             "dyn_edge_del"
         };
         self.ctx
-            .launch(name, one, |blk| k_edge(blk, &p, i, insert, first))?;
+            .launch(name, cfg, |blk| k_edge(blk, &p, lo, hi, insert, first))?;
         self.ctx.set_phase("DynSubcore");
         self.ctx.launch_stepped(
             "dyn_subcore",
             cfg,
-            |blk| bfs_init(blk, &p, !insert),
+            |blk| bfs_init(blk, &p, lo, hi, insert),
             |blk, st| {
-                let k = st.k;
-                let plan = plan_wave(blk, st, &p, p.d_core, |c| c == k)?;
+                let plan = plan_wave(blk, st, &p, false)?;
                 bfs_commit(blk, st, plan, &p, !insert)
             },
         )?;
@@ -538,7 +538,7 @@ impl DynamicCore {
             cfg,
             |blk| casc_init(blk, &p, insert),
             |blk, st| {
-                let plan = plan_wave(blk, st, &p, p.d_flag, |f| f != 0)?;
+                let plan = plan_wave(blk, st, &p, true)?;
                 casc_commit(blk, st, plan, &p, insert)
             },
         )?;
@@ -645,6 +645,32 @@ impl DynamicCore {
 // ---------------------------------------------------------------------------
 // Host-side adjacency mirror helpers
 // ---------------------------------------------------------------------------
+
+/// Splits a batch's net updates into matching rounds `(insert, edges)`:
+/// first-fit over `net_del`, then `net_ins` — each edge joins the earliest
+/// round of its kind that touches neither endpoint. Delete rounds precede
+/// insert rounds, no round shares a vertex between two edges, and the
+/// output is a function of the (sorted) input alone.
+fn matching_rounds(net_del: &[(u32, u32)], net_ins: &[(u32, u32)]) -> Vec<(bool, Vec<(u32, u32)>)> {
+    let mut rounds = Vec::new();
+    for (insert, edges) in [(false, net_del), (true, net_ins)] {
+        let base = rounds.len();
+        let mut used: Vec<HashSet<u32>> = Vec::new();
+        for &(u, v) in edges {
+            let r = match used.iter().position(|s| !s.contains(&u) && !s.contains(&v)) {
+                Some(r) => r,
+                None => {
+                    used.push(HashSet::new());
+                    rounds.push((insert, Vec::new()));
+                    used.len() - 1
+                }
+            };
+            used[r].extend([u, v]);
+            rounds[base + r].1.push((u, v));
+        }
+    }
+    rounds
+}
 
 fn has_adj(adj: &[Vec<u32>], u: u32, v: u32) -> bool {
     adj[u as usize].binary_search(&v).is_ok()
@@ -766,8 +792,9 @@ fn pcd_of(blk: &mut BlockCtx<'_>, p: &DynParams, r: usize, k: u32) -> u32 {
     pcd
 }
 
-/// Insertion support of candidate `v`: `|{x ∈ N(v) : core(x) > k ∨
-/// flag(x)}|` — neighbors already above `k` or fellow candidates.
+/// Insertion support of candidate `v` at level `k = core(v)`: `|{x ∈ N(v) :
+/// core(x) > k ∨ (core(x) == k ∧ flag(x))}|` — neighbors already above `k`
+/// or fellow candidates of its level.
 fn support_of(blk: &mut BlockCtx<'_>, p: &DynParams, v: usize, k: u32) -> u32 {
     let dev = blk.device;
     let (core, flag) = (dev.buffer(p.d_core), dev.buffer(p.d_flag));
@@ -777,7 +804,9 @@ fn support_of(blk: &mut BlockCtx<'_>, p: &DynParams, v: usize, k: u32) -> u32 {
         let mut fs = [0u32; 32];
         blk.gather(core, idxs, &mut cs, Coalescing::Classified);
         blk.gather(flag, idxs, &mut fs, Coalescing::Classified);
-        m += (0..idxs.len()).filter(|&t| cs[t] > k || fs[t] != 0).count() as u32;
+        m += (0..idxs.len())
+            .filter(|&t| cs[t] > k || (cs[t] == k && fs[t] != 0))
+            .count() as u32;
         blk.charge_instr(1);
     });
     m
@@ -803,18 +832,18 @@ fn add_wide(blk: &mut BlockCtx<'_>, meta: &[AtomicU32], at: usize, x: u32) -> u3
     old
 }
 
-/// Structural kernel (one block), the first of every op: reads op `i`'s
-/// `[u, v]` from the staging buffer, splices both adjacency directions
-/// (append for insert, swap-remove for delete) and applies the endpoint
-/// MCD deltas against the current cores. Then it decides the op on the
-/// device: `K`, the core-`K` roots, and the retire verdict. A delete at
-/// `K = 0` cannot lower a core; an insert whose roots all have `PCD <= K`
-/// (against the post-insert structure) cannot raise one. Either retires
-/// with zero roots. `first` zeroes the batch counters.
+/// Structural kernel, the first of every round: stripes the round's ops
+/// `[lo, hi)` of the staging buffer over the blocks. Each op splices both
+/// adjacency directions of its `[u, v]` (append for insert, swap-remove for
+/// delete) and applies the endpoint MCD deltas against the current cores.
+/// The ops are vertex-disjoint, so no two blocks touch one list or counter.
+/// Block 0 zeroes the round cursors and, on the batch's `first` round, the
+/// batch counters.
 fn k_edge(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    i: usize,
+    lo: usize,
+    hi: usize,
     insert: bool,
     first: bool,
 ) -> Result<(), KernelError> {
@@ -826,100 +855,77 @@ fn k_edge(
     let core = dev.buffer(p.d_core);
     let mcd = dev.buffer(p.d_mcd);
     let meta = dev.buffer(p.d_meta);
-    if first {
-        for w in &meta[M_PRUNED..] {
+    if blk.block_idx == 0 {
+        let end = if first { META_WORDS } else { M_PRUNED };
+        for w in &meta[..end] {
             blk.gwrite(w, 0);
         }
     }
-    blk.charge_sector(1); // the op's adjacent [u, v] pair
-    let u = batch[2 * i].load(Ordering::Relaxed);
-    let v = batch[2 * i + 1].load(Ordering::Relaxed);
-    let cu = blk.gread(&core[u as usize]);
-    let cv = blk.gread(&core[v as usize]);
-    for &(a, b, ca, cb) in &[(u, v, cu, cv), (v, u, cv, cu)] {
-        let a = a as usize;
-        blk.charge_sector(2); // off[a] + len[a]
-        let o = off[a].load(Ordering::Relaxed) as usize;
-        let l = lenb[a].load(Ordering::Relaxed) as usize;
-        if insert {
-            blk.gwrite(&adjb[o + l], b);
-            blk.gwrite(&lenb[a], l as u32 + 1);
-        } else {
-            // Linear probe for `b`, 32-lane chunks, early exit per chunk.
-            let mut found = usize::MAX;
-            let mut chunk = o;
-            let oe = o + l;
-            while chunk < oe {
-                let cend = (chunk + 32).min(oe);
-                blk.sync_warp();
-                blk.charge_tx(BlockCtx::coalesced_tx((cend - chunk) as u64));
-                blk.charge_instr(1);
-                for j in chunk..cend {
-                    if adjb[j].load(Ordering::Relaxed) == b {
-                        found = j;
-                    }
-                }
-                if found != usize::MAX {
-                    break;
-                }
-                chunk = cend;
-            }
-            if found == usize::MAX {
-                return Err(KernelError::Other(format!(
-                    "delete of edge {a}-{b} absent on device"
-                )));
-            }
-            let last = o + l - 1;
-            if found != last {
-                let w = blk.gread(&adjb[last]);
-                blk.gwrite(&adjb[found], w);
-            }
-            blk.gwrite(&lenb[a], l as u32 - 1);
-        }
-        // Endpoint MCD delta: b (dis)appears in N(a) and counts iff
-        // core(b) >= core(a).
-        if cb >= ca {
+    for i in (lo + blk.block_idx as usize..hi).step_by(blk.cfg.blocks as usize) {
+        blk.charge_sector(1); // the op's adjacent [u, v] pair
+        let u = batch[2 * i].load(Ordering::Relaxed);
+        let v = batch[2 * i + 1].load(Ordering::Relaxed);
+        let cu = blk.gread(&core[u as usize]);
+        let cv = blk.gread(&core[v as usize]);
+        for &(a, b, ca, cb) in &[(u, v, cu, cv), (v, u, cv, cu)] {
+            let a = a as usize;
+            blk.charge_sector(2); // off[a] + len[a]
+            let o = off[a].load(Ordering::Relaxed) as usize;
+            let l = lenb[a].load(Ordering::Relaxed) as usize;
             if insert {
-                blk.atomic_add(&mcd[a], 1);
+                blk.gwrite(&adjb[o + l], b);
+                blk.gwrite(&lenb[a], l as u32 + 1);
             } else {
-                blk.atomic_sub(&mcd[a], 1);
+                // Linear probe for `b`, 32-lane chunks, early exit per chunk.
+                let mut found = usize::MAX;
+                let mut chunk = o;
+                let oe = o + l;
+                while chunk < oe {
+                    let cend = (chunk + 32).min(oe);
+                    blk.sync_warp();
+                    blk.charge_tx(BlockCtx::coalesced_tx((cend - chunk) as u64));
+                    blk.charge_instr(1);
+                    for j in chunk..cend {
+                        if adjb[j].load(Ordering::Relaxed) == b {
+                            found = j;
+                        }
+                    }
+                    if found != usize::MAX {
+                        break;
+                    }
+                    chunk = cend;
+                }
+                if found == usize::MAX {
+                    return Err(KernelError::Other(format!(
+                        "delete of edge {a}-{b} absent on device"
+                    )));
+                }
+                let last = o + l - 1;
+                if found != last {
+                    let w = blk.gread(&adjb[last]);
+                    blk.gwrite(&adjb[found], w);
+                }
+                blk.gwrite(&lenb[a], l as u32 - 1);
+            }
+            // Endpoint MCD delta: b (dis)appears in N(a) and counts iff
+            // core(b) >= core(a).
+            if cb >= ca {
+                if insert {
+                    blk.atomic_add(&mcd[a], 1);
+                } else {
+                    blk.atomic_sub(&mcd[a], 1);
+                }
             }
         }
     }
-    let k = cu.min(cv);
-    let roots: Vec<u32> = [(u, cu), (v, cv)]
-        .iter()
-        .filter(|&&(_, c)| c == k)
-        .map(|&(x, _)| x)
-        .collect();
-    let live = if insert {
-        let mut lift = false;
-        for &r in &roots {
-            lift |= pcd_of(blk, p, r as usize, k) > k;
-        }
-        if !lift {
-            blk.atomic_add(&meta[M_PRUNED], 1);
-        }
-        lift
-    } else {
-        k > 0
-    };
-    blk.gwrite(&meta[M_K], k);
-    blk.gwrite(&meta[M_ROOTS], if live { roots.len() as u32 } else { 0 });
-    for (j, &r) in roots.iter().enumerate() {
-        blk.gwrite(&meta[M_ROOT + j], r);
-    }
-    blk.gwrite(&meta[M_CAND], 0);
-    blk.gwrite(&meta[M_DIRTY], 0);
     Ok(())
 }
 
-/// Per-block state of the stepped traversal kernels: shared `[s, e]`, the
-/// op's `K` and the wave's planned appendees.
+/// Per-block state of the stepped traversal kernels: shared `[s, e]` and
+/// the wave's planned appendees, each with its level.
 struct TravState {
     se: SharedArray,
-    k: u32,
-    planned: Vec<u32>,
+    planned: Vec<[u32; 2]>,
 }
 
 /// The plan→commit handoff: `None` retires the block, `Some((s, batch))`
@@ -978,46 +984,74 @@ fn visit(
     push(blk, frontier(blk, p), e, x, "subcore")
 }
 
-/// Subcore search, init phase (serial, block order): reads the op's `K`
-/// and roots from `dyn.meta` and stripes the roots over blocks, visiting
-/// each. A retired op has no roots, so every block retires at once.
+/// Subcore search, init phase (serial, block order): stripes the round's
+/// ops `[lo, hi)` over blocks and seeds the search from each op's roots,
+/// its endpoints at `K = min(core(u), core(v))`. The staged pairs are the
+/// round's root list: `core` is immutable until commit. A delete at
+/// `K = 0` cannot lower a core and seeds nothing. An insert root seeds
+/// only if `PCD(r) > K` against the round's post-splice structure and
+/// MCDs; an insert none of whose roots seeds counts as pruned.
 fn bfs_init(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
-    seed_mcd: bool,
+    lo: usize,
+    hi: usize,
+    insert: bool,
 ) -> Result<TravState, KernelError> {
-    let meta = blk.device.buffer(p.d_meta);
+    let dev = blk.device;
+    let (batch, core, meta) = (
+        dev.buffer(p.d_batch),
+        dev.buffer(p.d_core),
+        dev.buffer(p.d_meta),
+    );
     let se = blk.shared_alloc(2)?;
-    let k = blk.gread(&meta[M_K]);
-    let roots = blk.gread(&meta[M_ROOTS]) as usize;
     let mut e = 0u32;
-    for idx in (blk.block_idx as usize..roots).step_by(blk.cfg.blocks as usize) {
-        let r = blk.gread(&meta[M_ROOT + idx]) as usize;
-        visit(blk, p, &mut e, r, seed_mcd)?;
+    for i in (lo + blk.block_idx as usize..hi).step_by(blk.cfg.blocks as usize) {
+        blk.charge_sector(1); // the op's adjacent [u, v] pair
+        let u = batch[2 * i].load(Ordering::Relaxed) as usize;
+        let v = batch[2 * i + 1].load(Ordering::Relaxed) as usize;
+        let (cu, cv) = (blk.gread(&core[u]), blk.gread(&core[v]));
+        let k = cu.min(cv);
+        let mut seeded = false;
+        for (r, c) in [(u, cu), (v, cv)] {
+            if c != k {
+                continue;
+            }
+            let live = if insert {
+                pcd_of(blk, p, r, k) > k
+            } else {
+                k > 0
+            };
+            if live {
+                visit(blk, p, &mut e, r, !insert)?;
+                seeded = true;
+            }
+        }
+        if insert && !seeded {
+            blk.atomic_add(&meta[M_PRUNED], 1);
+        }
     }
     blk.sh_write(se, 0, 0);
     blk.sh_write(se, 1, e);
     Ok(TravState {
         se,
-        k,
         planned: Vec::new(),
     })
 }
 
 /// Plan half of both traversals: reads this wave's frontier slice and
-/// walks each vertex's adjacency, ballot-compacting the neighbors whose
-/// `sel` word passes `keep` — core `k` for the subcore search, the
-/// candidate flag for the cascade. Reads only buffers that are immutable
-/// during the launch; every write is commit's.
+/// walks each vertex `v`'s adjacency, ballot-compacting the neighbors at
+/// `v`'s level (`core(x) == core(v)`) — for the cascade (`candidates`),
+/// only the fellow candidates among them (`flag(x) != 0`). Reads only
+/// buffers that are immutable during the launch; every write is commit's.
 fn plan_wave(
     blk: &mut BlockCtx<'_>,
     st: &mut TravState,
     p: &DynParams,
-    sel: BufferId,
-    keep: impl Fn(u32) -> bool,
+    candidates: bool,
 ) -> Result<TravPlan, KernelError> {
     let bufb = frontier(blk, p);
-    let selb = blk.device.buffer(sel);
+    let (core, flag) = (blk.device.buffer(p.d_core), blk.device.buffer(p.d_flag));
     blk.sync_threads();
     let s = blk.sh_read(st.se, 0) as u64;
     let e = blk.sh_read(st.se, 1) as u64;
@@ -1032,12 +1066,17 @@ fn plan_wave(
     st.planned.clear();
     for w in 0..batch {
         let v = blk.gread_dependent(&bufb[(s + w) as usize]) as usize;
+        let level = blk.gread(&core[v]);
         walk_adj(blk, p, v, |blk, idxs| {
-            let mut ws = [0u32; 32];
-            blk.gather(selb, idxs, &mut ws, Coalescing::Classified);
+            let mut cs = [0u32; 32];
+            let mut fs = [1u32; 32];
+            blk.gather(core, idxs, &mut cs, Coalescing::Classified);
+            if candidates {
+                blk.gather(flag, idxs, &mut fs, Coalescing::Classified);
+            }
             let mut bits = 0u32;
-            for (t, &x) in ws[..idxs.len()].iter().enumerate() {
-                if keep(x) {
+            for t in 0..idxs.len() {
+                if cs[t] == level && fs[t] != 0 {
                     bits |= 1 << t;
                 }
             }
@@ -1045,7 +1084,7 @@ fn plan_wave(
             if total > 0 {
                 for (t, &x) in idxs.iter().enumerate() {
                     if bits >> t & 1 == 1 {
-                        st.planned.push(x as u32);
+                        st.planned.push([x as u32, level]);
                     }
                 }
             }
@@ -1067,48 +1106,34 @@ fn bfs_commit(
     };
     let mut e = blk.sh_peek(st.se, 1);
     for idx in 0..st.planned.len() {
-        visit(blk, p, &mut e, st.planned[idx] as usize, seed_mcd)?;
+        visit(blk, p, &mut e, st.planned[idx][0] as usize, seed_mcd)?;
     }
     blk.sh_poke(st.se, 1, e);
     blk.sh_write(st.se, 0, (s + batch) as u32);
     Ok(true)
 }
 
-/// The cascade's eviction threshold and a deletion's dropped core: a
-/// deletion evicts below `k` and drops the core to `k - 1` at once (a
-/// deletion with candidates has `k >= 1`); an insertion evicts below
-/// `k + 1`, and its survivors rise at commit.
-fn cascade_rule(insert: bool, k: u32) -> (u32, Option<u32>) {
-    if insert {
-        (k + 1, None)
-    } else {
-        (k, Some(k.saturating_sub(1)))
-    }
+/// The cascade's eviction threshold at level `k`: a deletion evicts below
+/// `k` (the evictee will drop to `k - 1`), an insertion below `k + 1` (a
+/// survivor will rise to `k + 1`).
+fn threshold(insert: bool, k: u32) -> u32 {
+    k + u32::from(insert)
 }
 
-/// Evicts `x`: marks it, applies a deletion's core drop and appends it to
-/// this block's frontier.
-fn evict(
-    blk: &mut BlockCtx<'_>,
-    p: &DynParams,
-    e: &mut u32,
-    x: usize,
-    drop_to: Option<u32>,
-) -> Result<(), KernelError> {
-    let dev = blk.device;
-    blk.gwrite(&dev.buffer(p.d_evic)[x], 1);
-    if let Some(c) = drop_to {
-        blk.gwrite(&dev.buffer(p.d_core)[x], c);
-    }
+/// Evicts `x`: marks it and appends it to this block's frontier. Its core
+/// is untouched until commit, so every level comparison of the cascade
+/// reads round-start cores.
+fn evict(blk: &mut BlockCtx<'_>, p: &DynParams, e: &mut u32, x: usize) -> Result<(), KernelError> {
+    blk.gwrite(&blk.device.buffer(p.d_evic)[x], 1);
     push(blk, frontier(blk, p), e, x, "cascade")
 }
 
 /// Eviction cascade, init phase (serial, block order): stripes the
 /// candidate list over blocks and evicts every candidate whose support is
-/// already below the threshold. An insertion computes that support here
-/// ([`support_of`]): `core` and `flag` are immutable during its cascade,
-/// and every block finishes this lap before the first wave evicts. A
-/// deletion's support was seeded from MCD by the subcore search.
+/// already below its level's threshold. An insertion computes that support
+/// here ([`support_of`]): `core` and `flag` are immutable during its
+/// cascade, and every block finishes this lap before the first wave
+/// evicts. A deletion's support was seeded from MCD by the subcore search.
 fn casc_init(
     blk: &mut BlockCtx<'_>,
     p: &DynParams,
@@ -1117,14 +1142,13 @@ fn casc_init(
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
     let sup = dev.buffer(p.d_sup);
-    let meta = dev.buffer(p.d_meta);
+    let core = dev.buffer(p.d_core);
     let se = blk.shared_alloc(2)?;
-    let k = blk.gread(&meta[M_K]);
-    let cand_n = blk.gread(&meta[M_CAND]) as usize;
-    let (thresh, drop_to) = cascade_rule(insert, k);
+    let cand_n = blk.gread(&dev.buffer(p.d_meta)[M_CAND]) as usize;
     let mut e = 0u32;
     for i in (blk.block_idx as usize..cand_n).step_by(blk.cfg.blocks as usize) {
         let v = blk.gread(&cand[i]) as usize;
+        let k = blk.gread(&core[v]);
         let sv = if insert {
             let s = support_of(blk, p, v, k);
             blk.gwrite(&sup[v], s);
@@ -1132,21 +1156,21 @@ fn casc_init(
         } else {
             blk.gread(&sup[v])
         };
-        if sv < thresh {
-            evict(blk, p, &mut e, v, drop_to)?;
+        if sv < threshold(insert, k) {
+            evict(blk, p, &mut e, v)?;
         }
     }
     blk.sh_write(se, 0, 0);
     blk.sh_write(se, 1, e);
     Ok(TravState {
         se,
-        k,
         planned: Vec::new(),
     })
 }
 
 /// Eviction cascade, commit half: decrements each planned un-evicted
-/// candidate's support; a decrement from exactly the threshold evicts. An
+/// candidate's support — only an evictee of the candidate's own level ever
+/// counted toward it; a decrement from exactly the threshold evicts. An
 /// un-evicted candidate always has `sup >= thresh >= 1`, so the decrement
 /// cannot underflow.
 fn casc_commit(
@@ -1162,17 +1186,18 @@ fn casc_commit(
     let dev = blk.device;
     let sup = dev.buffer(p.d_sup);
     let evic = dev.buffer(p.d_evic);
-    let (thresh, drop_to) = cascade_rule(insert, st.k);
     let mut e = blk.sh_peek(st.se, 1);
     for idx in 0..st.planned.len() {
-        let x = st.planned[idx] as usize;
+        let [x, k] = st.planned[idx];
+        let x = x as usize;
         if blk.gread(&evic[x]) != 0 {
             continue;
         }
+        let thresh = threshold(insert, k);
         let old = blk.atomic_sub(&sup[x], 1);
         debug_assert!(old >= thresh, "support underflow on un-evicted candidate");
         if old == thresh {
-            evict(blk, p, &mut e, x, drop_to)?;
+            evict(blk, p, &mut e, x)?;
         }
     }
     blk.sh_poke(st.se, 1, e);
@@ -1186,12 +1211,13 @@ fn changed(blk: &mut BlockCtx<'_>, p: &DynParams, v: usize, insert: bool) -> boo
     (blk.gread(&blk.device.buffer(p.d_evic)[v]) == 0) == insert
 }
 
-/// Commit kernel: raises an insertion's survivors to `k + 1` and appends
-/// every changed candidate to the batch's change log (`dyn.log`, cursor =
-/// the batch's changed counter; changes past the log's capacity are
-/// counted but not stored). Zeroes each candidate's support, which the
-/// MCD refresh reuses as its claim mark; block 0 adds the op's candidate
-/// count to the batch counter. Plain launch: stripes are block-disjoint.
+/// Commit kernel: moves every changed candidate one level — an
+/// insertion's survivors up, a deletion's evictees down — and appends it to
+/// the batch's change log (`dyn.log`, cursor = the batch's changed counter;
+/// changes past the log's capacity are counted but not stored). Zeroes each
+/// candidate's support, which the MCD refresh reuses as its claim mark;
+/// block 0 adds the round's candidate count to the batch counter. Plain
+/// launch: stripes are block-disjoint.
 fn k_commit(blk: &mut BlockCtx<'_>, p: &DynParams, insert: bool) -> Result<(), KernelError> {
     let dev = blk.device;
     let cand = dev.buffer(p.d_cand);
@@ -1199,7 +1225,6 @@ fn k_commit(blk: &mut BlockCtx<'_>, p: &DynParams, insert: bool) -> Result<(), K
     let core = dev.buffer(p.d_core);
     let log = dev.buffer(p.d_log);
     let meta = dev.buffer(p.d_meta);
-    let k = blk.gread(&meta[M_K]);
     let cand_n = blk.gread(&meta[M_CAND]);
     if blk.block_idx == 0 && cand_n > 0 {
         add_wide(blk, meta, M_CANDIDATES, cand_n);
@@ -1207,10 +1232,9 @@ fn k_commit(blk: &mut BlockCtx<'_>, p: &DynParams, insert: bool) -> Result<(), K
     for i in (blk.block_idx as usize..cand_n as usize).step_by(blk.cfg.blocks as usize) {
         let v = blk.gread(&cand[i]) as usize;
         if changed(blk, p, v, insert) {
+            let k = blk.gread(&core[v]);
             let c = if insert { k + 1 } else { k - 1 };
-            if insert {
-                blk.gwrite(&core[v], c);
-            }
+            blk.gwrite(&core[v], c);
             let slot = add_wide(blk, meta, M_CHANGED, 1) as usize;
             if slot < p.logcap {
                 blk.gwrite(&log[2 * slot], v as u32);
@@ -1256,8 +1280,8 @@ fn refresh_claim(blk: &mut BlockCtx<'_>, p: &DynParams, insert: bool) -> Result<
 
 /// MCD refresh, the one wave: recomputes MCD over this block's stripe of
 /// the refresh list and drops the claims, then clears the stripe's
-/// candidate flags and eviction marks — every per-op array is zero again
-/// for the next op.
+/// candidate flags and eviction marks — every per-round array is zero
+/// again for the next round.
 fn refresh_mcd(blk: &mut BlockCtx<'_>, p: &DynParams) -> Result<bool, KernelError> {
     let dev = blk.device;
     let (cand, dirty, meta) = (
@@ -1618,7 +1642,12 @@ mod tests {
                     "{what}: {h2d} H2D copies"
                 );
                 assert!(d2h <= 2, "{what}: {d2h} D2H copies");
-                assert!(launches <= 5 * net, "{what}: {launches} launches");
+                assert!(rep.rounds <= net, "{what}: {} rounds", rep.rounds);
+                assert!(
+                    launches <= 5 * rep.rounds,
+                    "{what}: {launches} launches for {} rounds",
+                    rep.rounds
+                );
                 assert_consistent(&mut dc);
             }
             assert!(
@@ -1629,6 +1658,93 @@ mod tests {
         // Some batches change more cores than the log holds: the full
         // core readback must keep the host mirror exact too.
         assert!(log_overflows > 0, "no batch overflowed the change log");
+    }
+
+    #[test]
+    fn random_pair_batches_run_in_at_most_two_rounds() {
+        // 64 random pairs touch 128 of 16 384 vertices: a shared endpoint
+        // is rare, a vertex shared three ways rarer still.
+        let n = 1 << 14;
+        let g = gen::erdos_renyi_gnm(n, 2 * n as u64, 17);
+        let mut dc = DynamicCore::from_csr(&SimOptions::default(), &g, small_cfg()).unwrap();
+        let mut state = 0x1234_5678u32;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        for bi in 0..4 {
+            let batch: Vec<EdgeUpdate> = (0..64)
+                .map(|_| EdgeUpdate::Insert(rng() % n, rng() % n))
+                .collect();
+            let rep = dc.apply_batch(&batch).unwrap();
+            assert_eq!(rep.path, BatchPath::Maintained);
+            assert!(rep.net_inserts >= 60, "batch {bi}: {rep:?}");
+            assert!(rep.rounds <= 2, "batch {bi}: {} rounds", rep.rounds);
+        }
+        assert_consistent(&mut dc);
+    }
+
+    #[test]
+    fn matching_rounds_are_vertex_disjoint_single_kind_and_first_fit() {
+        // A hub star, a path and random pairs over few vertices: every
+        // kind of conflict, in sorted order like `apply_batch`'s net sets.
+        let mut state = 0x2545_f491u32;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let mut sorted = |mut e: Vec<(u32, u32)>| {
+            e.extend((0..40).map(|_| (rng() % 24, rng() % 24)));
+            e.retain(|&(u, v)| u != v);
+            let mut e: Vec<(u32, u32)> = e.into_iter().map(|(u, v)| (u.min(v), u.max(v))).collect();
+            e.sort_unstable();
+            e.dedup();
+            e
+        };
+        let net_del = sorted((1..6).map(|i| (i, i + 1)).collect());
+        let net_ins = sorted((1..9).map(|i| (0, 30 + i)).collect());
+        let rounds = matching_rounds(&net_del, &net_ins);
+        assert_eq!(
+            rounds,
+            matching_rounds(&net_del, &net_ins),
+            "not deterministic"
+        );
+        let deletes = rounds.iter().take_while(|(ins, _)| !ins).count();
+        assert!(
+            rounds[deletes..].iter().all(|(ins, _)| *ins),
+            "a delete round follows an insert round"
+        );
+        assert!(deletes > 1 && rounds.len() - deletes >= 8, "too few rounds");
+        for (kind, input) in [(false, &net_del), (true, &net_ins)] {
+            let of_kind: Vec<&Vec<(u32, u32)>> = rounds
+                .iter()
+                .filter(|(ins, _)| *ins == kind)
+                .map(|(_, e)| e)
+                .collect();
+            let mut flat: Vec<(u32, u32)> =
+                of_kind.iter().flat_map(|e| e.iter().copied()).collect();
+            flat.sort_unstable();
+            assert_eq!(&flat, input, "rounds must partition the net updates");
+            let touches = |e: &[(u32, u32)], x: u32| e.iter().any(|&(a, b)| a == x || b == x);
+            for (r, edges) in of_kind.iter().enumerate() {
+                assert!(!edges.is_empty());
+                for (i, &(u, v)) in edges.iter().enumerate() {
+                    assert!(
+                        !touches(&edges[..i], u) && !touches(&edges[..i], v),
+                        "round {r} shares a vertex"
+                    );
+                    // First fit: every earlier round of the kind blocks it.
+                    for earlier in &of_kind[..r] {
+                        assert!(touches(earlier, u) || touches(earlier, v));
+                    }
+                }
+            }
+        }
+        assert!(matching_rounds(&[], &[]).is_empty());
     }
 
     #[test]
