@@ -228,7 +228,7 @@ fn main() {
             Ok(fr) => {
                 fr.fleet
                     .check_well_formed()
-                    .expect("fleet ledger must replay the run");
+                    .expect("fleet ledger must hold its laws");
                 println!(
                     "\nFleet p=4      {:>10.3} ms  {} rounds, {} exchange rounds, {} border packets, {} B exchanged",
                     fr.run.total_ms,

@@ -20,14 +20,15 @@
 //!
 //! With `--check` (used by `scripts/ci.sh`), runs the smoke datasets
 //! instead and asserts the sharded contract: cores equal BZ at every pool
-//! size, zero exchange at one device, shard-local worker residency, max
+//! size, zero exchange at one device, a one-device run charging exactly the
+//! single-device `total_ms` (to the bit), shard-local worker residency, max
 //! per-device peak strictly decreasing 1 → 2 → 4 devices, and the uk-2005
 //! @1x forecast fitting on ≤ 8 devices.
 
 use kcore_bench::{
     fleet_timeline_enabled, prepare, prepare_all, print_table, save_fleet, save_json,
 };
-use kcore_gpu::{decompose_multi_fleet, shard_memstats, MultiGpuConfig};
+use kcore_gpu::{decompose_multi_fleet, shard_memstats, single_gpu_ms, MultiGpuConfig};
 use kcore_gpusim::{FleetTrace, P100_DEVICE_BYTES};
 use kcore_graph::datasets;
 use kcore_graph::PartitionStrategy;
@@ -203,7 +204,7 @@ fn sweep(
             let fr = decompose_multi_fleet(&e.graph, &cfg, &e.sim, label).unwrap();
             fr.fleet
                 .check_well_formed()
-                .expect("fleet ledger must replay the run");
+                .expect("fleet ledger must hold its laws");
             let run = &fr.run;
             assert_eq!(
                 run.core,
@@ -231,6 +232,16 @@ fn sweep(
             if check {
                 if p == 1 {
                     assert_eq!(run.exchanged_bytes, 0, "one device must not exchange");
+                    let single = single_gpu_ms(&e.graph, &e.peel_cfg, &e.sim).unwrap();
+                    assert_eq!(
+                        run.total_ms.to_bits(),
+                        single.to_bits(),
+                        "{} {}: one-device sharded run {} ms must charge exactly the \
+                         single-device {single} ms",
+                        e.dataset.name,
+                        strategy.name(),
+                        run.total_ms
+                    );
                 } else {
                     assert!(
                         max_peak < prev_peak,

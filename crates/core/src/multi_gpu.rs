@@ -68,10 +68,11 @@ pub struct MultiGpuConfig {
     /// Vertex-to-shard assignment strategy.
     pub partition: PartitionStrategy,
     /// Inter-GPU link bandwidth, bytes/s (PCIe peer-to-peer ≈ 10 GB/s on
-    /// the paper-era platform; NVLink would be ~40 GB/s).
+    /// the paper-era platform; NVLink would be ~40 GB/s). Each hop's fixed
+    /// latency is the device cost model's `pcie_latency_s`: a peer copy is
+    /// a PCIe transaction, and that term scales with the graph like every
+    /// other fixed cost.
     pub link_bandwidth: f64,
-    /// Fixed per-exchange latency, seconds.
-    pub link_latency_s: f64,
 }
 
 impl Default for MultiGpuConfig {
@@ -81,7 +82,6 @@ impl Default for MultiGpuConfig {
             peel: PeelConfig::default(),
             partition: PartitionStrategy::BalancedArcs,
             link_bandwidth: 10e9,
-            link_latency_s: 10e-6,
         }
     }
 }
@@ -100,7 +100,9 @@ pub struct MultiGpuRun {
     pub sub_rounds: u32,
     /// Execution path the worker kernels ran on.
     pub exec_path: ExecPath,
-    /// Simulated wall time (max-over-workers per phase + exchanges), ms.
+    /// Simulated wall time on the fleet clock, ms: every barrier charges
+    /// the slowest device's delta, every exchange its kernels plus the
+    /// link hops.
     pub total_ms: f64,
     /// Sum of worker device peaks, bytes.
     pub total_peak_mem_bytes: u64,
@@ -240,8 +242,7 @@ fn decompose_multi_impl(
     let partition_span = prof.map(|hp| hp.span("multi_gpu/partition"));
     let part = Partition::build(g, cfg.num_gpus, cfg.partition);
     let mut workers = build_workers(&part, cfg, opts)?;
-    let mut total_ms = max_f64(workers.iter().map(|w| w.ctx.elapsed_ms()));
-    let setup_ms = total_ms;
+    let setup_ms = barrier(&mut workers)? * 1e3;
     drop(partition_span);
 
     let mut exchanged_bytes = 0u64;
@@ -251,9 +252,8 @@ fn decompose_multi_impl(
     let mut removed = 0u64;
     // Update scratch, reused across exchanges.
     let mut updates: Vec<(u32, u32)> = Vec::new();
-    // Fleet ledger: one entry per peel round. Observability only — every
-    // charged_ms below is recorded *from* the addend folded into total_ms,
-    // never the other way around.
+    // Fleet ledger: one entry per peel round. Observability only — it
+    // records the fleet clock's advances, it never drives them.
     let mut round_log: Vec<RoundTrace> = Vec::new();
 
     let rounds_span = prof.map(|hp| hp.span("multi_gpu/rounds"));
@@ -266,24 +266,24 @@ fn decompose_multi_impl(
         sub_rounds += 1;
         let slice = run_workers(&mut workers, 0, |w| {
             peel::run_scan_loop(&mut w.ctx, k, &w.st, &cfg.peel)?;
-            sync_worker(w)
+            sync_worker(w);
+            Ok(())
         })?;
-        total_ms += slice.charged_ms;
         slices.push(slice);
 
         // Border sub-rounds: exchange ghost decrements, seed owners, run
         // loop-only launches, until an exchange produces no seeds.
         loop {
-            let (any_seeds, exchange_ms, ledger) = exchange(
+            let (any_seeds, ledger) = exchange(
                 &mut workers,
                 &part,
                 k,
                 cfg,
+                opts.cost.pcie_latency_s,
                 &mut updates,
                 &mut exchanged_bytes,
                 slices.len() as u32 - 1,
             )?;
-            total_ms += exchange_ms;
             exchanges.push(ledger);
             if !any_seeds {
                 break;
@@ -291,14 +291,14 @@ fn decompose_multi_impl(
             sub_rounds += 1;
             let slice = run_workers(&mut workers, slices.len() as u32, |w| {
                 if w.seeds.is_empty() {
-                    return Ok(0.0);
+                    return Ok(());
                 }
                 let seeds = std::mem::take(&mut w.seeds);
                 seed_frontier(&mut w.ctx, &w.st, &cfg.peel, &seeds)?;
                 peel::run_loop_only(&mut w.ctx, k, &w.st, &cfg.peel)?;
-                sync_worker(w)
+                sync_worker(w);
+                Ok(())
             })?;
-            total_ms += slice.charged_ms;
             slices.push(slice);
         }
 
@@ -323,8 +323,8 @@ fn decompose_multi_impl(
     // the single-device run; ghost slots still hold the sentinel.
     let mut core = vec![0u32; n];
     let mut result_ms = 0.0f64;
+    let result_start_ms = workers[0].ctx.elapsed_ms();
     for (wi, w) in workers.iter_mut().enumerate() {
-        let before = w.ctx.elapsed_ms();
         w.ctx.set_phase("Result");
         let owned_core = w.ctx.dtoh_range(w.st.d_deg, 0, w.n_owned);
         for (l, &v) in part.shards[wi].owned.iter().enumerate() {
@@ -334,9 +334,11 @@ fn decompose_multi_impl(
         if let Some(x) = w.d_xfer {
             w.ctx.device.free(x);
         }
-        result_ms = result_ms.max(w.ctx.elapsed_ms() - before);
+        result_ms = result_ms.max(w.ctx.elapsed_ms() - result_start_ms);
     }
-    total_ms += result_ms;
+    // With one device no barrier ever waits, so this is its own clock —
+    // bit-identical to `peel::decompose`'s `total_ms`.
+    let total_ms = barrier(&mut workers)? * 1e3;
 
     // Timelines are captured before `trace()` only when the fleet layer
     // asked; both are pure derivations, so the traced path is unchanged.
@@ -432,31 +434,35 @@ fn build_workers(
     Ok(workers)
 }
 
-/// Runs `f` on every worker concurrently (order-preserving rayon map) and
-/// records the barrier sub-round as a [`SubRoundSlice`]: `charged_ms` is the
-/// max over the workers' returns — the exact addend the caller folds into
-/// `total_ms`, unchanged from the pre-ledger engine (f64 max over
-/// non-negative values is associative, so the sequential fold below is
-/// bit-identical to the old rayon reduce) — and `device_start_ms` /
-/// `device_ms` are each device's local clock at entry and its delta over
-/// the sub-round. Each worker only ever touches its own context, so every
-/// field is bit-identical at any pool size.
-/// Per-worker observation: `(charged_ms, device_start_ms, device_delta_ms)`.
-type WorkerObs = Result<(f64, f64, f64), SimError>;
+/// The fleet barrier: every device idles until the slowest one arrives, so
+/// all clocks agree afterwards. Returns that fleet clock, seconds. A lone
+/// device never waits.
+fn barrier(workers: &mut [Worker]) -> Result<f64, SimError> {
+    let t = workers
+        .iter()
+        .map(|w| w.ctx.elapsed_s())
+        .fold(0.0, f64::max);
+    for w in workers.iter_mut() {
+        w.ctx.wait_until_s(t)?;
+    }
+    Ok(t)
+}
 
+/// Runs `f` on every worker concurrently (order-preserving rayon map) from
+/// a common fleet clock, then barriers. The [`SubRoundSlice`] records each
+/// device's delta and charges the largest one (first argmax bounds it).
+/// Each worker only ever touches its own context, so every field is
+/// bit-identical at any pool size.
 fn run_workers(
     workers: &mut [Worker],
     sub_round: u32,
-    f: impl Fn(&mut Worker) -> Result<f64, SimError> + Sync,
+    f: impl Fn(&mut Worker) -> Result<(), SimError> + Sync,
 ) -> Result<SubRoundSlice, SimError> {
-    let mut observed: Vec<(usize, WorkerObs)> = workers
+    let start_ms = workers[0].ctx.elapsed_ms();
+    let mut observed: Vec<(usize, Result<f64, SimError>)> = workers
         .par_iter_mut()
         .enumerate()
-        .map(|(i, w)| {
-            let start = w.ctx.elapsed_ms();
-            let r = f(w).map(|charged| (charged, start, w.ctx.elapsed_ms() - start));
-            vec![(i, r)]
-        })
+        .map(|(i, w)| vec![(i, f(w).map(|()| w.ctx.elapsed_ms() - start_ms))])
         .reduce(Vec::new, |mut a, mut b| {
             a.append(&mut b);
             a
@@ -467,52 +473,53 @@ fn run_workers(
     let mut slice = SubRoundSlice {
         sub_round,
         charged_ms: 0.0,
-        device_start_ms: Vec::with_capacity(workers.len()),
+        start_ms,
         device_ms: Vec::with_capacity(workers.len()),
         bounding_device: 0,
     };
     for (d, r) in observed {
-        let (charged, start, delta) = r?;
-        if charged > slice.charged_ms {
-            slice.charged_ms = charged;
+        let delta = r?;
+        if delta > slice.charged_ms {
+            slice.charged_ms = delta;
             slice.bounding_device = d;
         }
-        slice.device_start_ms.push(start);
         slice.device_ms.push(delta);
     }
+    barrier(workers)?;
     Ok(slice)
 }
 
 /// The synchronizing `gpu_count` readback (Algorithm 1 line 8) on one
-/// worker, plus the frontier observability sample. Returns the worker's
-/// simulated-time delta for this sub-round.
-fn sync_worker(w: &mut Worker) -> Result<f64, SimError> {
+/// worker, plus the frontier observability sample.
+fn sync_worker(w: &mut Worker) {
     let before_sync = w.count;
     w.ctx.set_phase("Sync");
     w.count = w.ctx.dtoh_word(w.st.d_count, 0) as u64;
     w.ctx
         .sample_counter("frontier", (w.count - before_sync) as f64);
-    Ok(w.ctx.elapsed_ms())
 }
 
 /// One border exchange: drain every worker's ghost accumulator slots, ship
 /// the packets worker → master → owner, apply them with the floor-at-`k`
-/// rule, and seed owners whose vertices crossed into the k-shell. Returns
-/// `(any seeds produced, simulated exchange wall time, ledger)` — the
-/// [`ExchangeTrace`] records the shard-pair flows and the
-/// latency-vs-bandwidth split of both hops without touching a single
-/// charged value: `charged_ms` in the ledger *is* the returned wall time.
+/// rule, and seed owners whose vertices crossed into the k-shell. Starts
+/// and ends on a fleet barrier: the pack kernels run concurrently, the link
+/// hops follow the slowest packer, the apply kernels follow the hops.
+/// Returns whether any seeds were produced, and the [`ExchangeTrace`] of
+/// the flows, the cost split and the fleet-clock advance. An exchange that
+/// carries nothing costs nothing.
 #[allow(clippy::too_many_arguments)]
 fn exchange(
     workers: &mut [Worker],
     part: &Partition,
     k: u32,
     cfg: &MultiGpuConfig,
+    latency_s: f64,
     updates: &mut Vec<(u32, u32)>,
     exchanged_bytes: &mut u64,
     after_sub_round: u32,
-) -> Result<(bool, f64, ExchangeTrace), SimError> {
+) -> Result<(bool, ExchangeTrace), SimError> {
     let num = workers.len();
+    let start_ms = workers[0].ctx.elapsed_ms();
     let mut ledger = ExchangeTrace {
         after_sub_round,
         charged_ms: 0.0,
@@ -529,7 +536,6 @@ fn exchange(
         seeds_per_device: vec![0; num],
         flows: Vec::new(),
     };
-    let mut ms = 0.0f64;
     // Shard-pair packet counts for the flow ledger, keyed (from, to) — a
     // BTreeMap so the flow order is deterministic.
     let mut pair_packets: BTreeMap<(usize, usize), u64> = BTreeMap::new();
@@ -544,7 +550,6 @@ fn exchange(
         if shard.ghosts.is_empty() {
             continue;
         }
-        let before = w.ctx.elapsed_ms();
         let mut touched = 0u64;
         {
             // Host peek of the device ghost slots (free, like any host
@@ -575,20 +580,21 @@ fn exchange(
                 Ok(())
             })?;
             pack_seq[wi] = Some(w.ctx.launches().len() - 1);
-            let delta = w.ctx.elapsed_ms() - before;
-            if delta > ms {
-                ms = delta;
+            let delta = w.ctx.elapsed_ms() - start_ms;
+            if delta > ledger.pack_ms {
+                ledger.pack_ms = delta;
                 ledger.pack_bounding_device = wi;
             }
         }
     }
     if updates.is_empty() {
-        return Ok((false, ms, ledger));
+        return Ok((false, ledger));
     }
-    ledger.pack_ms = ms;
 
-    // ---- master aggregation, ascending global ID -------------------------
-    updates.sort_unstable();
+    // ---- master aggregation, owner-major then ascending global ID --------
+    // Owner-major order gives every owner one contiguous bucket, so one
+    // apply launch per owner, whatever the partitioner.
+    updates.sort_unstable_by_key(|&(v, _)| (part.owner_of(v), v));
     let mut aggregated: Vec<(u32, u32)> = Vec::with_capacity(updates.len());
     for &(v, d) in updates.iter() {
         match aggregated.last_mut() {
@@ -598,35 +604,28 @@ fn exchange(
     }
     // Each packet is (vertex, delta): 8 bytes, shipped worker → master →
     // owner (two hops, as the paper sketches); the master dedups, so the
-    // second hop carries the aggregated packets.
+    // second hop carries the aggregated packets. The hops start once the
+    // slowest packer is done.
     let bytes = (packets_out + aggregated.len() as u64) * 8;
     *exchanged_bytes += bytes;
-    ms += (cfg.link_latency_s * 2.0 + bytes as f64 / cfg.link_bandwidth) * 1e3;
-    // Informational hop split (latency + that hop's bandwidth term); the
-    // charged link cost above stays the single fused expression so
-    // `total_ms` is bit-identical to the pre-ledger engine.
-    ledger.hop1_ms = (cfg.link_latency_s + packets_out as f64 * 8.0 / cfg.link_bandwidth) * 1e3;
-    ledger.hop2_ms =
-        (cfg.link_latency_s + aggregated.len() as f64 * 8.0 / cfg.link_bandwidth) * 1e3;
+    let hop1_s = latency_s + packets_out as f64 * 8.0 / cfg.link_bandwidth;
+    let hop2_s = latency_s + aggregated.len() as f64 * 8.0 / cfg.link_bandwidth;
+    let hops_end_s = barrier(workers)? + hop1_s + hop2_s;
+    for w in workers.iter_mut() {
+        w.ctx.wait_until_s(hops_end_s)?;
+    }
+    ledger.hop1_ms = hop1_s * 1e3;
+    ledger.hop2_ms = hop2_s * 1e3;
     ledger.packets_out = packets_out;
     ledger.packets_aggregated = aggregated.len() as u64;
     ledger.bytes = bytes;
 
     // ---- owner-side apply, shard index order -----------------------------
-    // O(1) owner lookup through the partition map (the old prototype did a
-    // linear scan over worker ranges per update).
+    let apply_start_ms = workers[0].ctx.elapsed_ms();
     let mut any_seeds = false;
-    let mut apply_ms = 0.0f64;
-    let mut start = 0usize;
-    while start < aggregated.len() {
-        let owner = part.owner_of(aggregated[start].0);
-        let mut end = start + 1;
-        while end < aggregated.len() && part.owner_of(aggregated[end].0) == owner {
-            end += 1;
-        }
-        let bucket = &aggregated[start..end];
+    for bucket in aggregated.chunk_by(|a, b| part.owner_of(a.0) == part.owner_of(b.0)) {
+        let owner = part.owner_of(bucket[0].0);
         let w = &mut workers[owner];
-        let before = w.ctx.elapsed_ms();
         // Apply kernel: coalesced packet reads, random-access deg probes,
         // one atomic per applied decrement.
         let m = bucket.len() as u64;
@@ -660,12 +659,11 @@ fn exchange(
                 }
             }
         }
-        let delta = w.ctx.elapsed_ms() - before;
-        if delta > apply_ms {
-            apply_ms = delta;
+        let delta = w.ctx.elapsed_ms() - apply_start_ms;
+        if delta > ledger.apply_ms {
+            ledger.apply_ms = delta;
             ledger.apply_bounding_device = owner;
         }
-        start = end;
     }
     // Flow edges: every pair that shipped packets has a pack launch on the
     // shipper and — because the master forwards every aggregated vertex to
@@ -681,9 +679,8 @@ fn exchange(
             apply_launch_seq: apply_seq[to].expect("owner ran an apply launch"),
         })
         .collect();
-    ledger.apply_ms = apply_ms;
-    ledger.charged_ms = ms + apply_ms;
-    Ok((any_seeds, ms + apply_ms, ledger))
+    ledger.charged_ms = barrier(workers)? * 1e3 - start_ms;
+    Ok((any_seeds, ledger))
 }
 
 /// Injects border seeds (local IDs) into the per-block frontier buffers for
@@ -728,10 +725,6 @@ fn seed_frontier(
         Ok(())
     })?;
     Ok(())
-}
-
-fn max_f64(it: impl Iterator<Item = f64>) -> f64 {
-    it.fold(0.0f64, f64::max)
 }
 
 /// Per-shard memory snapshots of the setup state (graph arrays + scratch +
@@ -929,8 +922,7 @@ mod tests {
     fn fleet_capture_observes_and_never_charges() {
         // The fleet path must return the *same run* as the untraced one —
         // total_ms to the bit, identical fingerprints and exchange volume —
-        // while its ledger replays the charged addends exactly
-        // (check_well_formed).
+        // while its ledger holds the clock laws (check_well_formed).
         let g = gen::path(400);
         let base = decompose_multi(&g, &cfg(4), &SimOptions::default()).unwrap();
         let fr = decompose_multi_fleet(&g, &cfg(4), &SimOptions::default(), "path400").unwrap();

@@ -1098,6 +1098,23 @@ impl GpuContext {
         self.check_limit()
     }
 
+    /// Total simulated time so far, seconds — the clock's native unit, so a
+    /// fleet barrier can hand it to [`GpuContext::wait_until_s`] exactly.
+    pub fn elapsed_s(&self) -> f64 {
+        self.time_s
+    }
+
+    /// Idles the device until simulated time `t_s`: a multi-device barrier
+    /// wait. A no-op when the clock is already at or past `t_s`, so a lone
+    /// device never waits and keeps its single-device clock to the bit.
+    pub fn wait_until_s(&mut self, t_s: f64) -> Result<(), SimError> {
+        if t_s > self.time_s {
+            self.time_s = t_s;
+            self.sync_device_stamp();
+        }
+        self.check_limit()
+    }
+
     /// Total simulated time so far, milliseconds.
     pub fn elapsed_ms(&self) -> f64 {
         self.time_s * 1e3

@@ -17,25 +17,29 @@
 //! and the whole ledger is derived deterministically, so fleet artifacts are
 //! bit-identical across rayon pool sizes like every prior layer.
 //!
-//! **Two clocks.** Each device context runs its own simulated clock, so
-//! per-device numbers (sub-round slice starts, launch references) are
-//! device-local. The engine's `total_ms`, however, is accumulated under the
-//! PR 9 convention: each barrier sub-round charges the *max cumulative
-//! device clock* returned by the workers (a conservative re-synchronize
-//! model), and each exchange charges its pack + link + apply delta. The
-//! ledger records both views: `charged_ms` fields are the **exact f64
-//! addends** the engine folded into `total_ms` (replaying them in order
-//! reproduces `total_ms` to the bit — [`FleetTrace::check_well_formed`]
-//! asserts it), while `device_ms` fields are honest per-device sub-round
-//! deltas. The critical-path shares are computed over the delta-based
-//! resource components, which is what makes the soc-LiveJournal1 p=2
-//! cascade-serialization dip attributable: the charged convention bills a
-//! cascade sub-round at fleet scope even when only one shard is active, so
-//! a graph whose shells bounce across one border serializes.
+//! **One clock.** The devices run concurrently and meet at barriers: after
+//! every sub-round and around every exchange's link hops, each device idles
+//! until the slowest one arrives, so all device clocks agree at each
+//! barrier and the fleet clock *is* the device clock. A sub-round advances
+//! it by the largest per-device delta; an exchange by its slowest pack
+//! kernel, both link hops and its slowest apply kernel. With one device no
+//! barrier ever waits, so a one-shard run costs exactly what the
+//! single-device engine costs.
+//!
+//! **Conservation laws.** [`FleetTrace::new`] asserts, and
+//! [`FleetTrace::check_laws`] reports, two laws over the ledger:
+//!
+//! * every [`SubRoundSlice`] charges exactly `max(device_ms)`;
+//! * Σ charged (setup, slices, exchanges, result) and `total_ms` are each
+//!   ≤ Σ max device deltas + link time, where an exchange's device deltas
+//!   are its pack and apply maxima.
+//!
+//! A clock that charged cumulative device time instead of deltas — the
+//! mistake a bit-exact self-replay of the ledger cannot see — breaks both.
 //!
 //! [`FleetTrace::merged_chrome_json`] renders the whole fleet as one
-//! Perfetto document: one process triple (GPU / PCIe / memory) per device on
-//! its local clock, a link process on the charged fleet clock carrying
+//! Perfetto document: one process triple (GPU / PCIe / memory) per device,
+//! a link process carrying
 //! `worker → master` / `master → owner` hop slices, flow events tying each
 //! shard-pair's pack launch to its apply launch, and border-cascade slices
 //! on each owner device's tracks.
@@ -47,7 +51,7 @@ use serde::{Serialize, Value};
 
 /// Version of the fleet-trace serialization schema. Bumped on any shape
 /// change so golden fleet artifacts refuse to diff across schemas.
-pub const FLEET_SCHEMA_VERSION: u32 = 1;
+pub const FLEET_SCHEMA_VERSION: u32 = 2;
 
 /// Serializable ledger of one sharded multi-device run.
 #[derive(Debug, Clone, Serialize)]
@@ -106,15 +110,14 @@ pub struct RoundTrace {
 pub struct SubRoundSlice {
     /// 0 for the scan+drain sub-round, 1.. for border cascades.
     pub sub_round: u32,
-    /// Exact f64 addend the engine folded into `total_ms` for this
-    /// sub-round (the max-cumulative-clock convention — see module docs).
+    /// Fleet-clock advance of the sub-round: the largest device delta.
     pub charged_ms: f64,
-    /// Each device's local clock when the sub-round began, ms.
-    pub device_start_ms: Vec<f64>,
+    /// Fleet clock when the sub-round began, ms (every device starts here).
+    pub start_ms: f64,
     /// Each device's simulated-time delta over the sub-round, ms (0.0 for
     /// devices idle in a cascade sub-round).
     pub device_ms: Vec<f64>,
-    /// Device whose return bounded the charge (first argmax).
+    /// Device whose delta bounded the charge (first argmax).
     pub bounding_device: usize,
 }
 
@@ -124,7 +127,7 @@ pub struct SubRoundSlice {
 pub struct ExchangeTrace {
     /// Sub-round index the exchange followed (0 = after the scan).
     pub after_sub_round: u32,
-    /// Exact f64 addend the engine folded into `total_ms`.
+    /// Fleet-clock advance of the exchange: pack, both hops, apply.
     pub charged_ms: f64,
     /// Max-over-workers pack-kernel delta, ms.
     pub pack_ms: f64,
@@ -180,7 +183,7 @@ pub struct RoundCritical {
     pub k: u32,
     /// Barrier sub-rounds in the round.
     pub sub_rounds: u32,
-    /// Exact charged total for the round (Σ of slice + exchange addends).
+    /// Charged total for the round (Σ of slice + exchange advances).
     pub charged_ms: f64,
     /// Max-over-devices scan+drain delta, ms.
     pub compute_ms: f64,
@@ -212,7 +215,8 @@ pub struct RoundCritical {
 pub struct DeviceRollup {
     /// Shard / device index.
     pub device: usize,
-    /// The device's local simulated clock at capture, ms.
+    /// The device clock at capture, ms (the fleet clock: devices idle at
+    /// barriers).
     pub total_ms: f64,
     /// Σ kernel durations (what the bucket columns tile), ms.
     pub kernel_ms: f64,
@@ -314,6 +318,11 @@ impl FleetTrace {
     /// Assembles a fleet trace from the engine's recorded rounds and the
     /// captured per-device traces, deriving the critical path and the
     /// device rollups.
+    ///
+    /// # Panics
+    ///
+    /// If the ledger breaks a conservation law ([`FleetTrace::check_laws`]):
+    /// the engine mis-charged its clock.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         label: impl Into<String>,
@@ -340,7 +349,7 @@ impl FleetTrace {
             .flat_map(|r| &r.exchanges)
             .map(|e| e.packets_out)
             .sum();
-        FleetTrace {
+        let fleet = FleetTrace {
             schema_version: FLEET_SCHEMA_VERSION,
             trace_schema_version: TRACE_SCHEMA_VERSION,
             label: label.into(),
@@ -355,7 +364,47 @@ impl FleetTrace {
             critical_path,
             device_rollups,
             devices,
+        };
+        if let Err(e) = fleet.check_laws() {
+            panic!("fleet clock breaks a conservation law: {e}");
         }
+        fleet
+    }
+
+    /// The two clock conservation laws (module docs): every slice charges
+    /// exactly its largest device delta, and neither Σ charged nor
+    /// `total_ms` exceeds Σ max device deltas + link time (up to f64
+    /// summation order).
+    pub fn check_laws(&self) -> Result<(), String> {
+        let max_d = |v: &[f64]| v.iter().copied().fold(0.0f64, f64::max);
+        let mut charged = self.setup_ms + self.result_ms;
+        let mut bound = self.setup_ms + self.result_ms;
+        for r in &self.rounds {
+            for s in &r.slices {
+                let m = max_d(&s.device_ms);
+                if s.charged_ms.to_bits() != m.to_bits() {
+                    return Err(format!(
+                        "round k={} slice {}: charged {} ms, largest device delta {m} ms",
+                        r.k, s.sub_round, s.charged_ms
+                    ));
+                }
+                charged += s.charged_ms;
+                bound += m;
+            }
+            for e in &r.exchanges {
+                charged += e.charged_ms;
+                bound += e.pack_ms + e.hop1_ms + e.hop2_ms + e.apply_ms;
+            }
+        }
+        let slack = bound * (1.0 + 1e-9);
+        if charged > slack || self.total_ms > slack {
+            return Err(format!(
+                "charged {charged} ms / total {} ms exceed Σ max device deltas + link \
+                 time {bound} ms",
+                self.total_ms
+            ));
+        }
+        Ok(())
     }
 
     /// Serializes the fleet trace as pretty-printed JSON.
@@ -366,8 +415,7 @@ impl FleetTrace {
     /// Structural validation of the ledger against its own embedded device
     /// traces — the `fleetreport --check` contract:
     ///
-    /// * replaying the charged addends in recorded order reproduces
-    ///   `total_ms` **to the bit**;
+    /// * the clock conservation laws hold ([`FleetTrace::check_laws`]);
     /// * every round's critical-path shares sum to 1 (±1e-9) and name a
     ///   real device;
     /// * every flow edge references a real `mgpu_pack` / `mgpu_apply`
@@ -391,7 +439,7 @@ impl FleetTrace {
         if self.critical_path.len() != self.rounds.len() {
             return Err("critical_path / rounds length mismatch".into());
         }
-        let mut replay = self.setup_ms;
+        self.check_laws()?;
         for (ri, r) in self.rounds.iter().enumerate() {
             if r.slices.is_empty() || r.slices.len() != r.exchanges.len() {
                 return Err(format!(
@@ -402,17 +450,12 @@ impl FleetTrace {
                 ));
             }
             for (s, e) in r.slices.iter().zip(&r.exchanges) {
-                if s.device_ms.len() != self.num_devices
-                    || s.device_start_ms.len() != self.num_devices
-                    || s.bounding_device >= self.num_devices
-                {
+                if s.device_ms.len() != self.num_devices || s.bounding_device >= self.num_devices {
                     return Err(format!(
                         "round {ri} slice {}: bad device vectors",
                         s.sub_round
                     ));
                 }
-                replay += s.charged_ms;
-                replay += e.charged_ms;
                 if e.bytes != (e.packets_out + e.packets_aggregated) * 8 {
                     return Err(format!(
                         "round {ri}: exchange bytes {} != 8·({} + {})",
@@ -477,13 +520,6 @@ impl FleetTrace {
                 ));
             }
         }
-        replay += self.result_ms;
-        if replay.to_bits() != self.total_ms.to_bits() {
-            return Err(format!(
-                "charged replay {replay} does not reproduce total_ms {} bit-for-bit",
-                self.total_ms
-            ));
-        }
         let packets: u64 = self
             .rounds
             .iter()
@@ -509,15 +545,16 @@ impl FleetTrace {
     ///
     /// * per device `d`: the full single-device track set (GPU SM tracks,
     ///   PCIe, memory) under pids `1+3d..3+3d` with a `D<d> · ` name
-    ///   prefix, on the device's **local** clock, plus a `border cascades`
-    ///   track carrying that device's sub-round slices;
-    /// * pid 0: the link process on the **charged fleet** clock, with
-    ///   `worker → master` / `master → owner` hop slices per exchange;
+    ///   prefix, plus a `border cascades` track carrying that device's
+    ///   sub-round slices;
+    /// * pid 0: the link process, with `worker → master` / `master → owner`
+    ///   hop slices per exchange;
     /// * flow events (`s`/`t`/`f`) tying each shard-pair's `mgpu_pack`
     ///   launch through the two hops to its owner's `mgpu_apply` launch.
     ///
-    /// `timelines` must be the per-device timelines captured from the same
-    /// run, shard order. Deterministic: same run ⇒ byte-identical JSON.
+    /// Every process is on the one fleet clock (module docs). `timelines`
+    /// must be the per-device timelines captured from the same run, shard
+    /// order. Deterministic: same run ⇒ byte-identical JSON.
     pub fn merged_chrome_json(&self, timelines: &[Timeline]) -> String {
         assert_eq!(timelines.len(), self.num_devices, "one timeline per device");
         /// tid of the per-device cascade track: above any `sm * 64 + slot`
@@ -527,7 +564,7 @@ impl FleetTrace {
         let gpu_pid = |d: usize| 1 + 3 * d as u64;
         let mut events: Vec<Value> = Vec::new();
 
-        // ---- link process (charged fleet clock) ----------------------
+        // ---- link process ----------------------------------------------
         events.push(meta_event(
             "process_name",
             LINK_PID,
@@ -550,7 +587,7 @@ impl FleetTrace {
             "master → owner".into(),
         ));
 
-        // ---- per-device track sets (local clocks) --------------------
+        // ---- per-device track sets -------------------------------------
         for (d, tl) in timelines.iter().enumerate() {
             tl.push_chrome_events(
                 &mut events,
@@ -572,8 +609,8 @@ impl FleetTrace {
         let mut flow_id = 0u64;
         for r in &self.rounds {
             for (s, e) in r.slices.iter().zip(&r.exchanges) {
-                // cascade slices land on each active device's own track, at
-                // that device's local clock — they tile against its SM rows.
+                // cascade slices land on each active device's own track —
+                // they tile against its SM rows.
                 if s.sub_round > 0 {
                     for d in 0..self.num_devices {
                         if s.device_ms[d] > 0.0 {
@@ -584,7 +621,7 @@ impl FleetTrace {
                                 ),
                                 ("cat", Value::Str("BorderCascade".into())),
                                 ("ph", Value::Str("X".into())),
-                                ("ts", Value::Float(s.device_start_ms[d] * 1e3)),
+                                ("ts", Value::Float(s.start_ms * 1e3)),
                                 ("dur", Value::Float(s.device_ms[d] * 1e3)),
                                 ("pid", Value::UInt(gpu_pid(d))),
                                 ("tid", Value::UInt(CASCADE_TID)),
@@ -600,8 +637,8 @@ impl FleetTrace {
                         }
                     }
                 }
-                fleet_now += s.charged_ms;
-                let hop1_ts = (fleet_now + e.pack_ms) * 1e3;
+                let exchange_start = s.start_ms + s.charged_ms;
+                let hop1_ts = (exchange_start + e.pack_ms) * 1e3;
                 let hop2_ts = hop1_ts + e.hop1_ms * 1e3;
                 if e.packets_out > 0 {
                     for (tid, name, ts, dur, packets) in [
@@ -675,7 +712,7 @@ impl FleetTrace {
                         flow_id += 1;
                     }
                 }
-                fleet_now += e.charged_ms;
+                fleet_now = exchange_start + e.charged_ms;
             }
             // fleet-clock counter: seeds produced per round
             let seeds: u64 = r.exchanges.iter().map(|e| e.seeds).sum();
@@ -706,8 +743,8 @@ impl FleetTrace {
                     (
                         "clock_note",
                         Value::Str(
-                            "device processes replay each device's local simulated clock; \
-                             the link process replays the engine's charged fleet clock"
+                            "every process is on the fleet clock: devices idle at barriers, \
+                             so their clocks agree at each one"
                                 .into(),
                         ),
                     ),
@@ -848,7 +885,7 @@ mod tests {
         SubRoundSlice {
             sub_round: sub,
             charged_ms: charged,
-            device_start_ms: vec![0.0; per.len()],
+            start_ms: 0.0,
             device_ms: per,
             bounding_device: bounding,
         }
@@ -895,17 +932,17 @@ mod tests {
             RoundTrace {
                 k: 0,
                 sub_rounds: 1,
-                slices: vec![slice(0, 3.0, vec![1.0, 2.0])],
+                slices: vec![slice(0, 2.0, vec![1.0, 2.0])],
                 exchanges: vec![empty_exchange(0, 2)],
             },
             RoundTrace {
                 k: 1,
                 sub_rounds: 2,
-                slices: vec![slice(0, 4.0, vec![2.0, 1.0]), slice(1, 5.0, vec![0.0, 0.5])],
+                slices: vec![slice(0, 2.0, vec![2.0, 1.0]), slice(1, 0.5, vec![0.0, 0.5])],
                 exchanges: vec![
                     ExchangeTrace {
                         after_sub_round: 0,
-                        charged_ms: 0.75,
+                        charged_ms: 0.7,
                         pack_ms: 0.25,
                         hop1_ms: 0.2,
                         hop2_ms: 0.15,
@@ -930,7 +967,7 @@ mod tests {
                 ],
             },
         ];
-        let total = 1.0 + 3.0 + 0.0 + 4.0 + 0.75 + 5.0 + 0.0 + 0.5;
+        let total = 1.0 + 2.0 + 0.0 + 2.0 + 0.7 + 0.5 + 0.0 + 0.5;
         FleetTrace::new("unit", 1.0, 0.5, total, 40, rounds, dummy_devices())
     }
 
@@ -958,17 +995,44 @@ mod tests {
     }
 
     #[test]
-    fn replay_must_reproduce_total_to_the_bit() {
+    fn laws_reject_cumulative_and_inflated_charges() {
         let ft = synthetic();
         assert!(
             ft.check_well_formed().is_ok(),
             "{:?}",
             ft.check_well_formed()
         );
-        let mut bad = synthetic();
-        bad.total_ms += 1e-9;
-        let err = bad.check_well_formed().unwrap_err();
-        assert!(err.contains("bit-for-bit"), "{err}");
+        // Charging a sub-round the device's cumulative clock (setup 1.0 +
+        // round 0's 2.0 + this slice's 2.0) instead of its delta.
+        let mut cumulative = synthetic();
+        cumulative.rounds[1].slices[0].charged_ms = 5.0;
+        let err = cumulative.check_laws().unwrap_err();
+        assert!(err.contains("largest device delta"), "{err}");
+        // A total no device delta or link hop accounts for.
+        let mut inflated = synthetic();
+        inflated.total_ms += 1e-3;
+        let err = inflated.check_well_formed().unwrap_err();
+        assert!(err.contains("exceed"), "{err}");
+        // An exchange charged beyond its kernels and hops.
+        let mut exchange = synthetic();
+        exchange.rounds[1].exchanges[0].charged_ms += 0.1;
+        assert!(exchange.check_laws().is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "conservation law")]
+    fn new_asserts_the_laws() {
+        let mut ft = synthetic();
+        ft.rounds[0].slices[0].charged_ms = 3.0;
+        FleetTrace::new(
+            "bad",
+            ft.setup_ms,
+            ft.result_ms,
+            ft.total_ms,
+            ft.exchanged_bytes,
+            ft.rounds,
+            dummy_devices(),
+        );
     }
 
     #[test]

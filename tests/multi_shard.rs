@@ -3,6 +3,9 @@
 //! graphs, be bit-identical at any rayon pool size, agree across both
 //! execution paths at several shard counts, and match a checked-in golden
 //! that pins every worker's per-phase counters plus the exchange volume.
+//! Two clock invariants tie the fleet clock to the single-device engine: a
+//! one-shard run costs exactly what `peel::decompose` costs, and so does
+//! each half of a disjoint union split one copy per device.
 //!
 //! After an *intentional* change to the sharded kernels or the exchange
 //! protocol, regenerate the golden file:
@@ -13,11 +16,11 @@
 
 use kcore::cpu::{self, CoreAlgorithm};
 use kcore::gpu::{
-    decompose_multi, decompose_multi_fleet, ExecPath, FleetRun, MultiGpuConfig, MultiGpuRun,
-    PeelConfig, SimOptions,
+    decompose, decompose_multi, decompose_multi_fleet, ExecPath, FleetRun, MultiGpuConfig,
+    MultiGpuRun, PeelConfig, SimOptions,
 };
 use kcore::gpusim::{Counters, LaunchConfig, TRACE_SCHEMA_VERSION};
-use kcore::graph::{gen, Csr, PartitionStrategy};
+use kcore::graph::{builder, gen, Csr, Partition, PartitionStrategy};
 use proptest::prelude::*;
 use serde::Serialize;
 use std::path::PathBuf;
@@ -70,6 +73,80 @@ fn exec_paths_agree_at_all_shard_counts() {
             assert_eq!(runs[0].worker_fingerprints, runs[1].worker_fingerprints);
             assert_eq!(runs[0].total_ms.to_bits(), runs[1].total_ms.to_bits());
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Clock invariants against the single-device engine
+// ---------------------------------------------------------------------------
+
+/// One shard has no ghosts and no peer to wait for: the sharded run must
+/// charge exactly what `peel::decompose` charges, to the bit, on both
+/// execution paths.
+#[test]
+fn one_shard_costs_exactly_the_single_device_run() {
+    let graphs = [
+        gen::web_crawl(1_500, 8, 0.5, 3_000, 5),
+        gen::power_law_hubs(1_200, 2_400, 4, 0.3, 11),
+        kcore::graph::fig1_graph(),
+    ];
+    for g in &graphs {
+        for ep in [ExecPath::Fused, ExecPath::Reference] {
+            let mut cfg = small_cfg(1, PartitionStrategy::BalancedArcs);
+            cfg.peel = cfg.peel.with_exec_path(ep);
+            let single = decompose(g, &cfg.peel, &SimOptions::default()).unwrap();
+            let sharded = decompose_multi(g, &cfg, &SimOptions::default()).unwrap();
+            assert_eq!(sharded.core, single.core);
+            assert_eq!(sharded.exchanged_bytes, 0);
+            assert_eq!(
+                sharded.total_ms.to_bits(),
+                single.report.total_ms.to_bits(),
+                "{ep:?}: sharded p=1 {} ms vs single device {} ms",
+                sharded.total_ms,
+                single.report.total_ms
+            );
+        }
+    }
+}
+
+/// G ⊎ G split one copy per device: the two devices do identical work in
+/// lockstep and share nothing, so the fleet exchanges 0 bytes and charges
+/// exactly G's single-device time — no clock error can hide behind
+/// exchange traffic.
+#[test]
+fn disjoint_union_costs_exactly_one_copy() {
+    let g = gen::web_crawl(1_000, 8, 0.5, 2_000, 3);
+    let n = g.num_vertices();
+    let edges: Vec<(u32, u32)> = g
+        .edges()
+        .flat_map(|(u, v)| [(u, v), (u + n, v + n)])
+        .collect();
+    let union = builder::from_edges(2 * n, &edges);
+    let cfg = small_cfg(2, PartitionStrategy::BalancedArcs);
+    let part = Partition::build(&union, 2, cfg.partition);
+    assert!(
+        (0..2 * n).all(|v| part.owner_of(v) == (v >= n) as usize),
+        "the balanced partition must put one copy on each device"
+    );
+    for ep in [ExecPath::Fused, ExecPath::Reference] {
+        let cfg = MultiGpuConfig {
+            peel: cfg.peel.with_exec_path(ep),
+            ..cfg
+        };
+        let single = decompose(&g, &cfg.peel, &SimOptions::default()).unwrap();
+        let fr = decompose_multi_fleet(&union, &cfg, &SimOptions::default(), "union").unwrap();
+        assert_eq!(fr.run.core[..n as usize], single.core[..]);
+        assert_eq!(fr.run.core[n as usize..], single.core[..]);
+        assert_eq!(fr.run.exchanged_bytes, 0);
+        assert_eq!(fr.run.border_packets, 0);
+        assert_eq!(
+            fr.run.total_ms.to_bits(),
+            single.report.total_ms.to_bits(),
+            "{ep:?}: G ⊎ G on 2 devices {} ms vs G on one {} ms",
+            fr.run.total_ms,
+            single.report.total_ms
+        );
+        fr.fleet.check_well_formed().unwrap();
     }
 }
 
