@@ -7,9 +7,9 @@
 //! * **Scaling curve** — on the `@2x` high-fidelity stand-ins, simulated
 //!   wall time, speedup over the 1-device run, exchange volume, sub-rounds,
 //!   and max per-device peak memory, for every (devices × partitioner)
-//!   point. Worker phases overlap (time is max-over-workers per phase), so
-//!   the curve shows real scaling, while the exchange column shows what it
-//!   costs at the borders.
+//!   point. Workers run concurrently and meet at barriers (each sub-round
+//!   charges its slowest device's delta), so the curve shows real scaling,
+//!   while the exchange column shows what it costs at the borders.
 //! * **Full-scale fit** — per-shard [`kcore_gpusim::MemStats::extrapolate`]
 //!   forecasts for uk-2005 at paper scale (39.5 M vertices, 936 M edges)
 //!   against 16 GB P100 devices: the max predicted per-device peak for each
@@ -181,13 +181,14 @@ fn mb(b: u64) -> f64 {
 }
 
 /// The scaling sweep over one prepared dataset environment. The fleet trace
-/// of the soc-LiveJournal1 balanced-arcs p=2 point (the scaling dip under
-/// investigation) is handed back through `dip` when that point is swept.
+/// of the soc-LiveJournal1 balanced-arcs p=2 point, with that dataset's
+/// one-device time, is handed back through `attributed` when that point is
+/// swept.
 fn sweep(
     e: &kcore_bench::Env,
     strategies: &[PartitionStrategy],
     check: bool,
-    dip: &mut Option<FleetTrace>,
+    attributed: &mut Option<(FleetTrace, f64)>,
 ) -> Vec<ScaleRow> {
     let mut rows = Vec::new();
     for &strategy in strategies {
@@ -221,13 +222,13 @@ fn sweep(
                 );
                 save_fleet(&slug, &fr);
             }
+            let base = *base_ms.get_or_insert(run.total_ms);
             if e.dataset.name.starts_with("soc-LiveJournal1")
                 && p == 2
                 && strategy == PartitionStrategy::BalancedArcs
             {
-                *dip = Some(fr.fleet.clone());
+                *attributed = Some((fr.fleet.clone(), base));
             }
-            let base = *base_ms.get_or_insert(run.total_ms);
             let max_peak = run.per_device_peak_bytes.iter().copied().max().unwrap_or(0);
             if check {
                 if p == 1 {
@@ -331,10 +332,10 @@ fn main() {
     };
 
     let mut scaling = Vec::new();
-    let mut dip_fleet: Option<FleetTrace> = None;
+    let mut attributed: Option<(FleetTrace, f64)> = None;
     for e in &envs {
         eprintln!("[table_scale] {}", e.dataset.name);
-        scaling.extend(sweep(e, &strategies, check, &mut dip_fleet));
+        scaling.extend(sweep(e, &strategies, check, &mut attributed));
     }
 
     // Residency spot check: every worker ledger is shard-local (the
@@ -422,10 +423,9 @@ fn main() {
          bounding the most rounds (bound@rounds/total)."
     );
 
-    // The p=2 dip attribution: name what the critical path says bounds the
-    // soc-LiveJournal1 two-device run. This is the observability question
-    // ROADMAP item 3 left open ("border cascades serialize").
-    if let Some(fleet) = &dip_fleet {
+    // The p=2 attribution: what the critical path says bounds the
+    // soc-LiveJournal1 two-device run, and what its border traffic was.
+    if let Some((fleet, one_device_ms)) = &attributed {
         let agg = CriticalAgg::from_fleet(fleet);
         let (c, ca, x, l) = agg.shares();
         let cascade_sub_rounds: u32 = fleet
@@ -433,17 +433,24 @@ fn main() {
             .iter()
             .map(|r| r.sub_rounds.saturating_sub(1))
             .sum();
+        let notices: u64 = fleet
+            .rounds
+            .iter()
+            .flat_map(|r| &r.exchanges)
+            .map(|e| e.notices)
+            .sum();
         println!(
-            "\nDIP ATTRIBUTION — {} ({:.2} ms, {} rounds, {} exchange rounds, \
-             {} border packets):\n\
+            "\nP=2 ATTRIBUTION — {} ({:.2} ms vs {one_device_ms:.2} ms on one device, \
+             {:.2}x; {} rounds, {} exchange rounds, {} border packets, {notices} \
+             peeled-ghost notices):\n\
              compute {c:.1}% | cascade sub-rounds {ca:.1}% | exchange kernels \
              {x:.1}% | link {l:.1}%\n\
-             {} of {} rounds are {}-bound; the run serializes {} border-cascade \
-             sub-rounds, each charged at the slower device's cumulative clock, \
-             so two near-equal shards pay the full cascade tail twice without \
-             halving per-round work.",
+             {} of {} rounds are {}-bound. Each of the {} border-cascade \
+             sub-rounds charges the slower device's delta while the other idles \
+             at the barrier.",
             fleet.label,
             fleet.total_ms,
+            one_device_ms / fleet.total_ms,
             agg.rounds,
             fleet.exchange_rounds,
             fleet.border_packets,

@@ -29,16 +29,30 @@
 //!   sub-round (the paper's "new border vertices in the k-shell") via a
 //!   seed launch that rebuilds the per-block frontier, followed by a
 //!   loop-only launch — never a re-scan;
-//! * sub-rounds repeat until the exchange produces no seeds; wall time per
-//!   phase is the *max* over workers (they run concurrently) plus the
-//!   link cost of each exchange.
+//! * **peeled-ghost notices**: in the same exchange, each owner reports the
+//!   border vertices that reached `deg ≤ k` since its last report, through
+//!   the master, to exactly the shards holding them as ghosts (the
+//!   partition's holder lists). A holder pins that ghost's slot at `k`, so
+//!   the unmodified loop kernel's `deg[u] > k` probe skips it — exactly as
+//!   one device skips a peeled neighbour — instead of shipping decrements
+//!   the owner's floor would discard. The drain skips pinned slots;
+//! * sub-rounds repeat until the exchange produces no seeds.
 //!
-//! **Determinism.** The merge order is fixed: ghost drains happen in shard
-//! index order, updates are aggregated by ascending global vertex ID, and
-//! owner lookup is the O(1) partition map. Worker kernels run on private
-//! contexts whose engine is pool-size-independent, so traces, counters,
-//! `total_ms` and `exchanged_bytes` are bit-identical at any rayon pool
-//! size — `tests/multi_shard.rs` pins this.
+//! **One clock.** Devices run concurrently and meet at barriers: after each
+//! sub-round, after the pack kernels and after the apply kernels, every
+//! device idles until the slowest arrives, so all device clocks agree and
+//! the fleet clock is the device clock. A sub-round charges its largest
+//! per-device delta; an exchange its slowest pack kernel, two link hops
+//! (each `pcie_latency_s` plus bytes over `link_bandwidth`) and its slowest
+//! apply kernel. One device never waits and has no ghosts, so a one-shard
+//! run charges exactly what [`peel::decompose`] charges.
+//!
+//! **Determinism.** The merge order is fixed: drains and notices happen in
+//! shard index order, updates are aggregated owner-major by ascending
+//! global vertex ID, and owner lookup is the O(1) partition map. Worker
+//! kernels run on private contexts whose engine is pool-size-independent,
+//! so traces, counters, `total_ms` and `exchanged_bytes` are bit-identical
+//! at any rayon pool size — `tests/multi_shard.rs` pins this.
 
 use crate::config::{ExecPath, PeelConfig};
 use crate::peel;
@@ -54,7 +68,9 @@ use std::sync::atomic::Ordering;
 /// Sentinel base value for ghost `deg` slots. Large enough that a ghost can
 /// never equal the round's `k` (scan), cross `k + 1` (frontier append), or
 /// fall to the recover floor: a slot absorbs at most one decrement per
-/// incident arc per run, and `|V| < 2^30` is asserted up front.
+/// incident arc per run, and `|V| < 2^30` is asserted up front. A pinned
+/// slot holds a core (`≤ k < 2^30`), so the drain tells the two apart by
+/// value.
 const GHOST_BASE: u32 = 0x7FFF_FFFF;
 
 /// Configuration of a multi-GPU run.
@@ -141,12 +157,19 @@ struct Worker {
     ctx: GpuContext,
     st: peel::DeviceState,
     n_owned: usize,
-    /// Exchange staging buffer (ledger residency for update packets).
+    /// Exchange staging buffer (ledger residency for packets and notices).
     d_xfer: Option<BufferId>,
+    /// Device copy of the shard's holder lists, read by the pack kernel.
+    d_holders: Option<BufferId>,
     /// Cumulative `gpu_count` readback = owned vertices removed so far.
     count: u64,
     /// Border seeds (local IDs, ascending) for the next sub-round.
     seeds: Vec<u32>,
+    /// Owned border vertices (local IDs, ascending) not yet reported to
+    /// their holders.
+    unreported: Vec<u32>,
+    /// Ghost indices whose slots still accumulate decrements: not pinned.
+    live_ghosts: Vec<u32>,
 }
 
 /// Runs the distributed decomposition. `opts.device_capacity_bytes` is the
@@ -156,7 +179,7 @@ pub fn decompose_multi(
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
 ) -> Result<MultiGpuRun, SimError> {
-    decompose_multi_impl(g, cfg, opts, None).map(|(run, ..)| run)
+    decompose_multi_impl(g, cfg, opts, None, true).map(|(run, ..)| run)
 }
 
 /// [`decompose_multi`] with the full fleet observability layer: the run,
@@ -171,7 +194,8 @@ pub fn decompose_multi_fleet(
     opts: &SimOptions,
     label: impl Into<String>,
 ) -> Result<FleetRun, SimError> {
-    let (run, traces, rounds, timelines) = decompose_multi_impl(g, cfg, opts, Some(label.into()))?;
+    let (run, traces, rounds, timelines) =
+        decompose_multi_impl(g, cfg, opts, Some(label.into()), true)?;
     let (label, timelines, setup_ms, result_ms) = timelines.expect("fleet capture requested");
     let fleet = FleetTrace::new(
         label,
@@ -203,11 +227,14 @@ type MultiImplOutput = (
     Option<FleetCapture>,
 );
 
+/// The engine. `notices: false` switches peeled-ghost notices off, for the
+/// tests that measure what they save.
 fn decompose_multi_impl(
     g: &Csr,
     cfg: &MultiGpuConfig,
     opts: &SimOptions,
     fleet_label: Option<String>,
+    notices: bool,
 ) -> Result<MultiImplOutput, SimError> {
     assert!(cfg.num_gpus >= 1);
     let n = g.num_vertices() as usize;
@@ -242,6 +269,9 @@ fn decompose_multi_impl(
     let partition_span = prof.map(|hp| hp.span("multi_gpu/partition"));
     let part = Partition::build(g, cfg.num_gpus, cfg.partition);
     let mut workers = build_workers(&part, cfg, opts)?;
+    if !notices {
+        workers.iter_mut().for_each(|w| w.unreported.clear());
+    }
     let setup_ms = barrier(&mut workers)? * 1e3;
     drop(partition_span);
 
@@ -331,7 +361,7 @@ fn decompose_multi_impl(
             core[v as usize] = owned_core[l];
         }
         peel::free_device(&mut w.ctx, &w.st);
-        if let Some(x) = w.d_xfer {
+        for x in [w.d_xfer, w.d_holders].into_iter().flatten() {
             w.ctx.device.free(x);
         }
         result_ms = result_ms.max(w.ctx.elapsed_ms() - result_start_ms);
@@ -414,21 +444,29 @@ fn build_workers(
             &deg,
             &cfg.peel,
         )?;
-        // Staging room for one exchange's worth of (vertex, delta) packets:
-        // at most one per ghost. Batch-class: packet volume is a border
-        // property, not a |V|/|E|-linear one.
-        let d_xfer = if shard.ghosts.is_empty() {
-            None
-        } else {
-            Some(ctx.alloc_tagged("mgpu.xfer", 2 * shard.ghosts.len(), SizeClass::Batch)?)
+        // Staging room for one exchange's worth of (vertex, delta) packets
+        // (at most one per ghost) and notices (at most one per holder
+        // entry), plus the holder lists. Batch-class: both are border
+        // properties, not |V|/|E|-linear ones.
+        let mut border_alloc = |name: &str, len: usize| {
+            (len > 0)
+                .then(|| ctx.alloc_tagged(name, len, SizeClass::Batch))
+                .transpose()
         };
+        let d_xfer = border_alloc("mgpu.xfer", 2 * shard.ghosts.len() + shard.holders.len())?;
+        let d_holders = border_alloc("mgpu.holders", shard.holders.len())?;
         workers.push(Worker {
             ctx,
             st,
             n_owned: shard.num_owned(),
             d_xfer,
+            d_holders,
             count: 0,
             seeds: Vec::new(),
+            unreported: (0..shard.num_owned() as u32)
+                .filter(|&l| !shard.holders_of(l as usize).is_empty())
+                .collect(),
+            live_ghosts: (0..shard.ghosts.len() as u32).collect(),
         });
     }
     Ok(workers)
@@ -499,14 +537,19 @@ fn sync_worker(w: &mut Worker) {
         .sample_counter("frontier", (w.count - before_sync) as f64);
 }
 
-/// One border exchange: drain every worker's ghost accumulator slots, ship
-/// the packets worker → master → owner, apply them with the floor-at-`k`
-/// rule, and seed owners whose vertices crossed into the k-shell. Starts
-/// and ends on a fleet barrier: the pack kernels run concurrently, the link
-/// hops follow the slowest packer, the apply kernels follow the hops.
-/// Returns whether any seeds were produced, and the [`ExchangeTrace`] of
-/// the flows, the cost split and the fleet-clock advance. An exchange that
-/// carries nothing costs nothing.
+/// One border exchange. Every worker drains its live ghost accumulator
+/// slots into `(vertex, delta)` packets for the owners, and reports its
+/// border vertices that reached `deg ≤ k` since its last report as
+/// peeled-ghost notices for their holders. Both ride worker → master →
+/// receiver; owners apply packets with the floor-at-`k` rule and seed the
+/// vertices that crossed into the k-shell, holders pin the noticed ghost
+/// slots at `k` so the loop kernel skips them from then on, exactly as one
+/// device skips a peeled neighbour. The exchange starts and ends on a
+/// fleet barrier: the pack kernels run concurrently, the link hops follow
+/// the slowest packer, the apply kernels follow the hops. Returns whether
+/// any seeds were produced, and the [`ExchangeTrace`] of the flows, the
+/// cost split and the fleet-clock advance. An exchange that carries
+/// nothing costs nothing.
 #[allow(clippy::too_many_arguments)]
 fn exchange(
     workers: &mut [Worker],
@@ -531,52 +574,73 @@ fn exchange(
         apply_bounding_device: 0,
         packets_out: 0,
         packets_aggregated: 0,
+        notices: 0,
         bytes: 0,
         seeds: 0,
         seeds_per_device: vec![0; num],
         flows: Vec::new(),
     };
-    // Shard-pair packet counts for the flow ledger, keyed (from, to) — a
-    // BTreeMap so the flow order is deterministic.
-    let mut pair_packets: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    // Shard-pair (packets, notices) for the flow ledger, keyed (from, to)
+    // — a BTreeMap so the flow order is deterministic.
+    let mut pairs: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
+    // Ghost slots each holder pins at `k`, in report order.
+    let mut pins: Vec<Vec<u32>> = vec![Vec::new(); num];
     // Per-device launch-record indices backing the flow edges.
     let mut pack_seq: Vec<Option<usize>> = vec![None; num];
     let mut apply_seq: Vec<Option<usize>> = vec![None; num];
-    // ---- drain + pack, shard index order ---------------------------------
+    // ---- drain + notices + pack, shard index order -----------------------
     updates.clear();
-    let mut packets_out = 0u64;
     for (wi, w) in workers.iter_mut().enumerate() {
         let shard = &part.shards[wi];
-        if shard.ghosts.is_empty() {
-            continue;
-        }
-        let mut touched = 0u64;
+        let (mut touched, mut noticed) = (0u64, 0u64);
         {
-            // Host peek of the device ghost slots (free, like any host
-            // inspection of simulator memory): delta = GHOST_BASE − slot,
-            // then the slot resets to the sentinel for the next sub-round.
+            // Host peeks of device memory (free, like any host inspection
+            // of simulator memory). Live ghost slots: delta = GHOST_BASE −
+            // slot, then the slot resets to the sentinel for the next
+            // sub-round; a slot pinned since the last drain leaves the
+            // live list for good.
             let deg = w.ctx.device.buffer(w.st.d_deg);
-            for (gi, &gv) in shard.ghosts.iter().enumerate() {
-                let slot = &deg[w.n_owned + gi];
+            let n_owned = w.n_owned;
+            w.live_ghosts.retain(|&gi| {
+                let slot = &deg[n_owned + gi as usize];
                 let val = slot.load(Ordering::Relaxed);
+                if val <= k {
+                    return false;
+                }
                 if val != GHOST_BASE {
+                    let gv = shard.ghosts[gi as usize];
                     updates.push((gv, GHOST_BASE - val));
                     slot.store(GHOST_BASE, Ordering::Relaxed);
                     touched += 1;
-                    *pair_packets.entry((wi, part.owner_of(gv))).or_insert(0) += 1;
+                    pairs.entry((wi, part.owner_of(gv))).or_default().0 += 1;
                 }
-            }
+                true
+            });
+            // Owned border vertices that reached deg ≤ k: one notice per
+            // holder, each reported once.
+            w.unreported.retain(|&l| {
+                if deg[l as usize].load(Ordering::Relaxed) > k {
+                    return true;
+                }
+                for h in shard.holders_of(l as usize) {
+                    pins[h.shard as usize].push(h.local);
+                    pairs.entry((wi, h.shard as usize)).or_default().1 += 1;
+                    noticed += 1;
+                }
+                false
+            });
         }
-        if touched > 0 {
-            packets_out += touched;
-            // Pack kernel: gather the touched (vertex, delta) pairs into
-            // the xfer staging buffer — sparse slot reads, coalesced
-            // packet writes.
+        if touched + noticed > 0 {
+            ledger.packets_out += touched;
+            ledger.notices += noticed;
+            // Pack kernel: gather the touched (vertex, delta) pairs and the
+            // noticed vertices' holder entries into the xfer staging buffer
+            // — sparse slot and holder-list reads, coalesced writes.
+            let [pkt, ntc] = [touched, noticed].map(|x| share(x, cfg.peel.launch.blocks));
             w.ctx.set_phase("Exchange");
             w.ctx.launch("mgpu_pack", cfg.peel.launch, move |blk| {
-                let share = touched / blk.cfg.blocks as u64 + 1;
-                blk.charge_sector(share);
-                blk.charge_tx(BlockCtx::coalesced_tx(2 * share));
+                blk.charge_sector(pkt + ntc);
+                blk.charge_tx(BlockCtx::coalesced_tx(2 * pkt + ntc));
                 Ok(())
             })?;
             pack_seq[wi] = Some(w.ctx.launches().len() - 1);
@@ -587,13 +651,13 @@ fn exchange(
             }
         }
     }
-    if updates.is_empty() {
+    if updates.is_empty() && ledger.notices == 0 {
         return Ok((false, ledger));
     }
 
     // ---- master aggregation, owner-major then ascending global ID --------
     // Owner-major order gives every owner one contiguous bucket, so one
-    // apply launch per owner, whatever the partitioner.
+    // apply launch per receiver, whatever the partitioner.
     updates.sort_unstable_by_key(|&(v, _)| (part.owner_of(v), v));
     let mut aggregated: Vec<(u32, u32)> = Vec::with_capacity(updates.len());
     for &(v, d) in updates.iter() {
@@ -602,85 +666,110 @@ fn exchange(
             _ => aggregated.push((v, d)),
         }
     }
-    // Each packet is (vertex, delta): 8 bytes, shipped worker → master →
-    // owner (two hops, as the paper sketches); the master dedups, so the
-    // second hop carries the aggregated packets. The hops start once the
-    // slowest packer is done.
-    let bytes = (packets_out + aggregated.len() as u64) * 8;
-    *exchanged_bytes += bytes;
-    let hop1_s = latency_s + packets_out as f64 * 8.0 / cfg.link_bandwidth;
-    let hop2_s = latency_s + aggregated.len() as f64 * 8.0 / cfg.link_bandwidth;
+    let mut buckets: Vec<&[(u32, u32)]> = vec![&[]; num];
+    for bucket in aggregated.chunk_by(|a, b| part.owner_of(a.0) == part.owner_of(b.0)) {
+        buckets[part.owner_of(bucket[0].0)] = bucket;
+    }
+    // A packet is (vertex, delta), 8 bytes; the master dedups, so the
+    // second hop carries the aggregated packets. A notice is the vertex
+    // alone, 4 bytes, forwarded unchanged. Both hops start once the
+    // slowest packer is done (two hops, as the paper sketches).
+    ledger.packets_aggregated = aggregated.len() as u64;
+    let hop_bytes = |packets: u64| packets * 8 + ledger.notices * 4;
+    let (hop1_bytes, hop2_bytes) = (
+        hop_bytes(ledger.packets_out),
+        hop_bytes(ledger.packets_aggregated),
+    );
+    ledger.bytes = hop1_bytes + hop2_bytes;
+    *exchanged_bytes += ledger.bytes;
+    let hop1_s = latency_s + hop1_bytes as f64 / cfg.link_bandwidth;
+    let hop2_s = latency_s + hop2_bytes as f64 / cfg.link_bandwidth;
     let hops_end_s = barrier(workers)? + hop1_s + hop2_s;
     for w in workers.iter_mut() {
         w.ctx.wait_until_s(hops_end_s)?;
     }
     ledger.hop1_ms = hop1_s * 1e3;
     ledger.hop2_ms = hop2_s * 1e3;
-    ledger.packets_out = packets_out;
-    ledger.packets_aggregated = aggregated.len() as u64;
-    ledger.bytes = bytes;
 
-    // ---- owner-side apply, shard index order -----------------------------
+    // ---- apply, shard index order -----------------------------------------
     let apply_start_ms = workers[0].ctx.elapsed_ms();
     let mut any_seeds = false;
-    for bucket in aggregated.chunk_by(|a, b| part.owner_of(a.0) == part.owner_of(b.0)) {
-        let owner = part.owner_of(bucket[0].0);
-        let w = &mut workers[owner];
-        // Apply kernel: coalesced packet reads, random-access deg probes,
-        // one atomic per applied decrement.
-        let m = bucket.len() as u64;
+    for (wi, w) in workers.iter_mut().enumerate() {
+        let (bucket, pinned) = (buckets[wi], &pins[wi]);
+        if bucket.is_empty() && pinned.is_empty() {
+            continue;
+        }
+        // Apply kernel: coalesced packet and notice reads, random-access
+        // deg probes, one atomic per applied decrement, one store per pin.
+        let [pkt, ntc] =
+            [bucket.len() as u64, pinned.len() as u64].map(|x| share(x, cfg.peel.launch.blocks));
         w.ctx.set_phase("Exchange");
         w.ctx.launch("mgpu_apply", cfg.peel.launch, move |blk| {
-            let share = m / blk.cfg.blocks as u64 + 1;
-            blk.charge_tx(BlockCtx::coalesced_tx(2 * share));
-            blk.charge_sector(share);
-            blk.counters.global_atomics += share;
+            blk.charge_tx(BlockCtx::coalesced_tx(2 * pkt + ntc));
+            blk.charge_sector(pkt + ntc);
+            blk.counters.global_atomics += pkt;
             Ok(())
         })?;
-        apply_seq[owner] = Some(w.ctx.launches().len() - 1);
-        {
-            let deg = w.ctx.device.buffer(w.st.d_deg);
-            for &(gv, cnt) in bucket {
-                let lv = part.local_id[gv as usize] as usize;
-                let cur = deg[lv].load(Ordering::Relaxed);
-                // Floor at k (Fig. 6 Case-1 recovery, host side): removed
-                // vertices sit at their core (≤ k) and are untouched.
-                let applicable = cur.saturating_sub(k).min(cnt);
-                if applicable > 0 {
-                    deg[lv].store(cur - applicable, Ordering::Relaxed);
-                    // Seed only on the crossing itself, so a vertex already
-                    // waiting in a seed list is not re-seeded later.
-                    if cur - applicable == k {
-                        w.seeds.push(lv as u32);
-                        any_seeds = true;
-                        ledger.seeds += 1;
-                        ledger.seeds_per_device[owner] += 1;
-                    }
+        apply_seq[wi] = Some(w.ctx.launches().len() - 1);
+        let deg = w.ctx.device.buffer(w.st.d_deg);
+        for &(gv, cnt) in bucket {
+            let lv = part.local_id[gv as usize] as usize;
+            let cur = deg[lv].load(Ordering::Relaxed);
+            // Floor at k (Fig. 6 Case-1 recovery, host side): removed
+            // vertices sit at their core (≤ k) and are untouched.
+            let applicable = cur.saturating_sub(k).min(cnt);
+            if applicable > 0 {
+                deg[lv].store(cur - applicable, Ordering::Relaxed);
+                // Seed only on the crossing itself, so a vertex already
+                // waiting in a seed list is not re-seeded later.
+                if cur - applicable == k {
+                    w.seeds.push(lv as u32);
+                    any_seeds = true;
+                    ledger.seeds += 1;
+                    ledger.seeds_per_device[wi] += 1;
                 }
             }
+        }
+        // The owner's copy sits at k now, so every later decrement from
+        // this shard would floor to nothing: pin the ghost where the loop
+        // kernel's `deg[u] > k` probe skips it.
+        for &slot in pinned {
+            deg[slot as usize].store(k, Ordering::Relaxed);
         }
         let delta = w.ctx.elapsed_ms() - apply_start_ms;
         if delta > ledger.apply_ms {
             ledger.apply_ms = delta;
-            ledger.apply_bounding_device = owner;
+            ledger.apply_bounding_device = wi;
         }
     }
-    // Flow edges: every pair that shipped packets has a pack launch on the
-    // shipper and — because the master forwards every aggregated vertex to
-    // its owner — an apply launch on the receiver.
-    ledger.flows = pair_packets
+    // Flow edges: every pair that shipped anything has a pack launch on the
+    // shipper and — because the master forwards every aggregated packet to
+    // its owner and every notice to its holder — an apply launch on the
+    // receiver.
+    ledger.flows = pairs
         .into_iter()
-        .map(|((from, to), packets)| FlowEdge {
+        .map(|((from, to), (packets, notices))| FlowEdge {
             from_device: from,
             to_device: to,
             packets,
-            bytes: packets * 8,
+            notices,
+            bytes: packets * 8 + notices * 4,
             pack_launch_seq: pack_seq[from].expect("shipper ran a pack launch"),
-            apply_launch_seq: apply_seq[to].expect("owner ran an apply launch"),
+            apply_launch_seq: apply_seq[to].expect("receiver ran an apply launch"),
         })
         .collect();
     ledger.charged_ms = barrier(workers)? * 1e3 - start_ms;
     Ok((any_seeds, ledger))
+}
+
+/// Per-block share of `items` spread over `blocks`: 0 for no items, else
+/// `items / blocks + 1`.
+fn share(items: u64, blocks: u32) -> u64 {
+    if items == 0 {
+        0
+    } else {
+        items / blocks as u64 + 1
+    }
 }
 
 /// Injects border seeds (local IDs) into the per-block frontier buffers for
@@ -972,20 +1061,76 @@ mod tests {
 
     #[test]
     fn pool_sizes_are_bit_identical() {
-        let g = gen::path(400);
-        let base = decompose_multi(&g, &cfg(4), &SimOptions::default()).unwrap();
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let run =
-                pool.install(|| decompose_multi(&g, &cfg(4), &SimOptions::default()).unwrap());
-            assert_eq!(run.core, base.core, "pool {threads}");
-            assert_eq!(run.worker_fingerprints, base.worker_fingerprints);
-            assert_eq!(run.exchanged_bytes, base.exchanged_bytes);
-            assert_eq!(run.sub_rounds, base.sub_rounds);
-            assert_eq!(run.total_ms.to_bits(), base.total_ms.to_bits());
+        // A path bounces one shell across every border; the hub graph's
+        // borders carry packets and notices in most rounds.
+        for g in [
+            gen::path(400),
+            gen::power_law_hubs(1_200, 2_400, 4, 0.3, 11),
+        ] {
+            let fleet = || decompose_multi_fleet(&g, &cfg(4), &SimOptions::default(), "pools");
+            let base = fleet().unwrap();
+            assert!(base.run.border_packets > 0);
+            for threads in [1usize, 2, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let run = pool.install(|| decompose_multi(&g, &cfg(4), &SimOptions::default()));
+                let run = run.unwrap();
+                assert_eq!(run.core, base.run.core, "pool {threads}");
+                assert_eq!(run.worker_fingerprints, base.run.worker_fingerprints);
+                assert_eq!(run.exchanged_bytes, base.run.exchanged_bytes);
+                assert_eq!(run.border_packets, base.run.border_packets);
+                assert_eq!(run.sub_rounds, base.run.sub_rounds);
+                assert_eq!(run.total_ms.to_bits(), base.run.total_ms.to_bits());
+                let fr = pool.install(fleet).unwrap();
+                assert_eq!(fr.fleet.to_json(), base.fleet.to_json(), "pool {threads}");
+            }
+        }
+    }
+
+    /// Border packets of one run, with or without peeled-ghost notices.
+    fn run_notices(g: &Csr, c: &MultiGpuConfig, notices: bool) -> (MultiGpuRun, Vec<RoundTrace>) {
+        let (run, _, rounds, _) =
+            decompose_multi_impl(g, c, &SimOptions::default(), None, notices).unwrap();
+        (run, rounds)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// Notice coverage: at every shard count, under both partitioners
+        /// and on both execution paths, a run with notices peels exactly
+        /// the BZ cores and never ships more border packets than the same
+        /// run without them.
+        #[test]
+        fn notices_keep_cores_and_never_add_packets(seed in 0u64..10_000) {
+            let g = gen::power_law_hubs(600 + (seed % 5) as u32 * 100, 1_800, 3, 0.3, seed);
+            let truth = kcore_cpu::bz::Bz.run(&g);
+            for p in [2usize, 3, 4, 8] {
+                for partition in [PartitionStrategy::BalancedArcs, PartitionStrategy::DegreeAware] {
+                    for ep in [ExecPath::Fused, ExecPath::Reference] {
+                        let c = MultiGpuConfig {
+                            partition,
+                            peel: cfg(p).peel.with_exec_path(ep),
+                            ..cfg(p)
+                        };
+                        let (with, rounds) = run_notices(&g, &c, true);
+                        let (without, _) = run_notices(&g, &c, false);
+                        let what = format!("p={p} {partition:?} {ep:?}");
+                        proptest::prop_assert_eq!(&with.core, &truth, "{}", what);
+                        proptest::prop_assert_eq!(&without.core, &truth, "{}", what);
+                        proptest::prop_assert!(
+                            with.border_packets <= without.border_packets,
+                            "{}: {} packets with notices, {} without",
+                            what, with.border_packets, without.border_packets
+                        );
+                        let notices: u64 =
+                            rounds.iter().flat_map(|r| &r.exchanges).map(|e| e.notices).sum();
+                        proptest::prop_assert!(notices > 0, "{}: no notices sent", what);
+                    }
+                }
+            }
         }
     }
 }

@@ -74,8 +74,8 @@ pub struct FleetTrace {
     /// Bytes shipped over the links, both hops — bit-identical to
     /// `MultiGpuRun::exchanged_bytes`.
     pub exchanged_bytes: u64,
-    /// Exchanges that actually carried packets (informational; the engine
-    /// also runs one empty closing exchange per peel round).
+    /// Exchanges that actually carried packets or notices (informational;
+    /// a round's closing exchange may carry nothing).
     pub exchange_rounds: u64,
     /// Total worker→master packets over the run.
     pub border_packets: u64,
@@ -121,8 +121,9 @@ pub struct SubRoundSlice {
     pub bounding_device: usize,
 }
 
-/// One border exchange: ghost drain → pack kernels → two link hops →
-/// owner-side apply kernels → seeding.
+/// One border exchange: ghost drain and peeled-ghost notices → pack
+/// kernels → two link hops → apply kernels (owner-side decrements and
+/// seeding, holder-side ghost pins).
 #[derive(Debug, Clone, Serialize)]
 pub struct ExchangeTrace {
     /// Sub-round index the exchange followed (0 = after the scan).
@@ -131,10 +132,10 @@ pub struct ExchangeTrace {
     pub charged_ms: f64,
     /// Max-over-workers pack-kernel delta, ms.
     pub pack_ms: f64,
-    /// Worker→master hop: per-exchange latency + `packets_out` packets over
-    /// the link bandwidth, ms.
+    /// Worker→master hop: per-exchange latency + `packets_out` packets and
+    /// `notices` notices over the link bandwidth, ms.
     pub hop1_ms: f64,
-    /// Master→owner hop: latency + aggregated packets, ms.
+    /// Master→owner/holder hop: latency + aggregated packets + notices, ms.
     pub hop2_ms: f64,
     /// Max-over-owners apply-kernel delta, ms.
     pub apply_ms: f64,
@@ -146,7 +147,11 @@ pub struct ExchangeTrace {
     pub packets_out: u64,
     /// Deduplicated master→owner packets.
     pub packets_aggregated: u64,
-    /// Link bytes both hops (8 bytes per packet).
+    /// Peeled-ghost notices: one per (border vertex that reached `deg ≤ k`
+    /// since its owner's last report, shard holding it as a ghost).
+    pub notices: u64,
+    /// Link bytes both hops: 8 per packet per hop it rides, 4 per notice
+    /// per hop (each notice rides both).
     pub bytes: u64,
     /// Border vertices that crossed into the k-shell and were seeded.
     pub seeds: u64,
@@ -156,22 +161,26 @@ pub struct ExchangeTrace {
     pub flows: Vec<FlowEdge>,
 }
 
-/// Packets one worker shipped to one owner in a single exchange.
+/// Packets one worker shipped to one owner, and notices one owner sent to
+/// one holder, in a single exchange.
 #[derive(Debug, Clone, Serialize)]
 pub struct FlowEdge {
     /// Shipping worker (shard index).
     pub from_device: usize,
-    /// Owning worker (shard index).
+    /// Receiving worker (shard index): the packets' owner, the notices'
+    /// holder.
     pub to_device: usize,
     /// Packets on this pair.
     pub packets: u64,
-    /// Bytes on this pair (8 per packet).
+    /// Notices on this pair.
+    pub notices: u64,
+    /// First-hop bytes on this pair (8 per packet, 4 per notice).
     pub bytes: u64,
     /// Index into `devices[from_device].launches` of the `mgpu_pack`
-    /// launch that staged the packets.
+    /// launch that staged the packets and notices.
     pub pack_launch_seq: usize,
-    /// Index into `devices[to_device].launches` of the (final) `mgpu_apply`
-    /// launch that applied this exchange's packets on the owner.
+    /// Index into `devices[to_device].launches` of the `mgpu_apply` launch
+    /// that applied this exchange's packets and pins on the receiver.
     pub apply_launch_seq: usize,
 }
 
@@ -342,7 +351,7 @@ impl FleetTrace {
         let exchange_rounds = rounds
             .iter()
             .flat_map(|r| &r.exchanges)
-            .filter(|e| e.packets_out > 0)
+            .filter(|e| e.bytes > 0)
             .count() as u64;
         let border_packets = rounds
             .iter()
@@ -419,8 +428,8 @@ impl FleetTrace {
     /// * every round's critical-path shares sum to 1 (±1e-9) and name a
     ///   real device;
     /// * every flow edge references a real `mgpu_pack` / `mgpu_apply`
-    ///   launch record in the per-device traces, and per-pair packets sum
-    ///   to the exchange's `packets_out`;
+    ///   launch record in the per-device traces, and per-pair packets and
+    ///   notices sum to the exchange's `packets_out` and `notices`;
     /// * rollup buckets tile each device's summed kernel time.
     pub fn check_well_formed(&self) -> Result<(), String> {
         if self.schema_version != FLEET_SCHEMA_VERSION {
@@ -456,17 +465,19 @@ impl FleetTrace {
                         s.sub_round
                     ));
                 }
-                if e.bytes != (e.packets_out + e.packets_aggregated) * 8 {
+                if e.bytes != (e.packets_out + e.packets_aggregated + e.notices) * 8 {
                     return Err(format!(
-                        "round {ri}: exchange bytes {} != 8·({} + {})",
-                        e.bytes, e.packets_out, e.packets_aggregated
+                        "round {ri}: exchange bytes {} != 8·({} + {} + {})",
+                        e.bytes, e.packets_out, e.packets_aggregated, e.notices
                     ));
                 }
                 let flow_packets: u64 = e.flows.iter().map(|f| f.packets).sum();
-                if flow_packets != e.packets_out {
+                let flow_notices: u64 = e.flows.iter().map(|f| f.notices).sum();
+                if flow_packets != e.packets_out || flow_notices != e.notices {
                     return Err(format!(
-                        "round {ri}: flow packets {flow_packets} != packets_out {}",
-                        e.packets_out
+                        "round {ri}: flows carry {flow_packets} packets / {flow_notices} \
+                         notices, the exchange {} / {}",
+                        e.packets_out, e.notices
                     ));
                 }
                 if e.seeds_per_device.len() != self.num_devices
@@ -640,7 +651,7 @@ impl FleetTrace {
                 let exchange_start = s.start_ms + s.charged_ms;
                 let hop1_ts = (exchange_start + e.pack_ms) * 1e3;
                 let hop2_ts = hop1_ts + e.hop1_ms * 1e3;
-                if e.packets_out > 0 {
+                if e.bytes > 0 {
                     for (tid, name, ts, dur, packets) in [
                         (0u64, "worker → master", hop1_ts, e.hop1_ms, e.packets_out),
                         (
@@ -663,6 +674,7 @@ impl FleetTrace {
                                 "args",
                                 obj(vec![
                                     ("packets", Value::UInt(packets)),
+                                    ("notices", Value::UInt(e.notices)),
                                     ("bytes", Value::UInt(e.bytes)),
                                     ("seeds", Value::UInt(e.seeds)),
                                 ]),
@@ -702,6 +714,7 @@ impl FleetTrace {
                                     ("from_device", Value::UInt(f.from_device as u64)),
                                     ("to_device", Value::UInt(f.to_device as u64)),
                                     ("packets", Value::UInt(f.packets)),
+                                    ("notices", Value::UInt(f.notices)),
                                     ("bytes", Value::UInt(f.bytes)),
                                     ("pack_launch", Value::UInt(f.pack_launch_seq as u64)),
                                     ("apply_launch", Value::UInt(f.apply_launch_seq as u64)),
@@ -903,6 +916,7 @@ mod tests {
             apply_bounding_device: 0,
             packets_out: 0,
             packets_aggregated: 0,
+            notices: 0,
             bytes: 0,
             seeds: 0,
             seeds_per_device: vec![0; n],
@@ -951,6 +965,7 @@ mod tests {
                         apply_bounding_device: 1,
                         packets_out: 3,
                         packets_aggregated: 2,
+                        notices: 0,
                         bytes: 40,
                         seeds: 1,
                         seeds_per_device: vec![0, 1],
@@ -958,6 +973,7 @@ mod tests {
                             from_device: 0,
                             to_device: 1,
                             packets: 3,
+                            notices: 0,
                             bytes: 24,
                             pack_launch_seq: 0,
                             apply_launch_seq: 0,

@@ -50,7 +50,9 @@ pub mod update;
 
 pub use builder::GraphBuilder;
 pub use csr::{Csr, VertexId};
-pub use partition::{Partition, PartitionStats, PartitionStrategy, PeerStats, Shard, ShardStats};
+pub use partition::{
+    Holder, Partition, PartitionStats, PartitionStrategy, PeerStats, Shard, ShardStats,
+};
 pub use stats::GraphStats;
 pub use update::EdgeUpdate;
 

@@ -22,6 +22,11 @@
 //!   hub-heavy skew that defeats contiguous ranges, at the price of
 //!   non-contiguous ownership.
 //!
+//! Every shard also carries **holder lists**: for each owned vertex, the
+//! other shards that hold it as a ghost and the ghost's local ID there. An
+//! owner that peels a border vertex notifies exactly those shards, without
+//! anyone scanning a ghost table.
+//!
 //! Both strategies are pure functions of `(graph, p)` — no RNG, no thread
 //! timing — so a partition is bit-identical across runs and rayon pool
 //! sizes, which the multi-GPU determinism contract builds on.
@@ -80,6 +85,23 @@ pub struct Shard {
     pub csr: Csr,
     /// Directed arcs whose source is owned here (= `csr.num_arcs()`).
     pub owned_arcs: u64,
+    /// Holder-list offsets over owned local IDs (`num_owned() + 1`
+    /// entries): owned vertex `l`'s holders are
+    /// `holders[holder_offsets[l]..holder_offsets[l + 1]]`.
+    pub holder_offsets: Vec<u32>,
+    /// Every shard holding an owned vertex as a ghost, grouped by owned
+    /// local ID, ascending holder shard within a group.
+    pub holders: Vec<Holder>,
+}
+
+/// One ghost copy of an owned vertex: the shard holding it and the ghost's
+/// local ID on that shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Holder {
+    /// Holding shard index.
+    pub shard: u16,
+    /// The ghost's local ID on the holding shard (`≥` its `num_owned()`).
+    pub local: u32,
 }
 
 impl Shard {
@@ -93,6 +115,12 @@ impl Shard {
     #[inline]
     pub fn num_local(&self) -> usize {
         self.owned.len() + self.ghosts.len()
+    }
+
+    /// The shards holding owned vertex `l` as a ghost.
+    #[inline]
+    pub fn holders_of(&self, l: usize) -> &[Holder] {
+        &self.holders[self.holder_offsets[l] as usize..self.holder_offsets[l + 1] as usize]
     }
 
     /// Global ID of local vertex `l` (owned or ghost).
@@ -150,10 +178,11 @@ impl Partition {
             owned[s].push(v as VertexId);
         }
 
-        let shards = owned
+        let mut shards: Vec<Shard> = owned
             .into_iter()
             .map(|owned| build_shard(g, &owner, &local_id, owned))
             .collect();
+        attach_holders(&mut shards, &owner, &local_id);
         Partition {
             strategy,
             owner,
@@ -322,10 +351,48 @@ fn build_shard(g: &Csr, owner: &[u16], local_id: &[u32], owned: Vec<VertexId>) -
         }
     }
     Shard {
+        holder_offsets: vec![0; num_owned + 1],
         owned,
         ghosts,
         csr: Csr::from_parts_unchecked(offsets, neighbors),
         owned_arcs,
+        holders: Vec::new(),
+    }
+}
+
+/// Fills every shard's holder lists from all shards' ghost tables: one
+/// counting pass, then one placement pass in holder-shard order, so each
+/// list is ascending by holder. `O(owned + Σ ghosts)`.
+fn attach_holders(shards: &mut [Shard], owner: &[u16], local_id: &[u32]) {
+    for h in 0..shards.len() {
+        for gi in 0..shards[h].ghosts.len() {
+            let v = shards[h].ghosts[gi] as usize;
+            shards[owner[v] as usize].holder_offsets[local_id[v] as usize + 1] += 1;
+        }
+    }
+    for shard in shards.iter_mut() {
+        for l in 1..shard.holder_offsets.len() {
+            shard.holder_offsets[l] += shard.holder_offsets[l - 1];
+        }
+        let total = *shard.holder_offsets.last().unwrap() as usize;
+        shard.holders = vec![Holder { shard: 0, local: 0 }; total];
+    }
+    let mut cursor: Vec<Vec<u32>> = shards
+        .iter()
+        .map(|s| s.holder_offsets[..s.num_owned()].to_vec())
+        .collect();
+    for h in 0..shards.len() {
+        let num_owned = shards[h].num_owned();
+        for gi in 0..shards[h].ghosts.len() {
+            let v = shards[h].ghosts[gi] as usize;
+            let (s, l) = (owner[v] as usize, local_id[v] as usize);
+            let at = cursor[s][l] as usize;
+            cursor[s][l] += 1;
+            shards[s].holders[at] = Holder {
+                shard: h as u16,
+                local: (num_owned + gi) as u32,
+            };
+        }
     }
 }
 
@@ -481,6 +548,24 @@ mod tests {
             expect.sort_unstable();
             expect.dedup();
             assert_eq!(shard.ghosts, expect);
+        }
+        // holder lists are exactly the inverse of the ghost tables
+        for (s, shard) in part.shards.iter().enumerate() {
+            assert_eq!(shard.holder_offsets.len(), shard.num_owned() + 1);
+            for (l, &v) in shard.owned.iter().enumerate() {
+                let expect: Vec<Holder> = part
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(h, hs)| {
+                        hs.ghosts.binary_search(&v).ok().map(|gi| Holder {
+                            shard: h as u16,
+                            local: (hs.num_owned() + gi) as u32,
+                        })
+                    })
+                    .collect();
+                assert_eq!(shard.holders_of(l), &expect[..], "shard {s} vertex {v}");
+            }
         }
         assert!(seen.iter().all(|&b| b), "vertex owned by no shard");
         assert_eq!(total_arcs, g.num_arcs(), "arcs not conserved");

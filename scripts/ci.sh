@@ -91,7 +91,8 @@ echo "memreport smoke OK"
 echo "== sharded scaling smoke (partition contract + fit forecast) =="
 # --check sweeps 1/2/4/8 workers x both partitioners over the smoke
 # datasets, asserting sharded cores equal BZ, one device exchanges zero
-# bytes, max per-device peak shrinks as the pool grows, worker ledgers are
+# bytes and charges exactly the single-device time (to the bit), max
+# per-device peak shrinks as the pool grows, worker ledgers are
 # shard-local, and the uk-2005 @1x forecast fits on <= 8 x 16 GB devices.
 scale_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_CACHE_DIR="$cache_dir" \
@@ -121,11 +122,12 @@ echo "dynamic smoke OK"
 
 echo "== fleet observability smoke (exchange ledger + merged export) =="
 # --check runs the sharded decomposition at p=2/4 with the fleet ledger
-# armed and asserts the ledger replays the charged time bit-exactly, every
-# exchange flow references a real pack/apply launch record, per-round
-# critical-path shares sum to 1.0, and the trace survives a round trip
-# through regress::parse_json. Observability only: the measured runs are
-# bit-identical to decompose_multi.
+# armed and asserts the clock conservation laws (each sub-round charges
+# exactly its largest device delta; Σ charged ≤ Σ max device deltas + link
+# time), every exchange flow references a real pack/apply launch record,
+# per-round critical-path shares sum to 1.0, and the trace survives a round
+# trip through regress::parse_json. Observability only: the measured runs
+# are bit-identical to decompose_multi.
 fleet_results="$(mktemp -d)"
 KCORE_SMOKE=1 KCORE_DATASETS=amazon0601,wiki-Talk KCORE_CACHE_DIR="$cache_dir" \
   KCORE_RESULTS_DIR="$fleet_results" ./target/release/fleetreport --check > /dev/null
@@ -147,9 +149,17 @@ echo "== hostprof smoke (wall-clock attribution coverage) =="
 # buckets attribute >= 95% of each run's wall time — below that the
 # engine's host instrumentation is considered broken. Informational only
 # for perf (wall time is machine-dependent); structural checks are hard.
+# Its output goes to a log that is printed if the check fails, so a
+# failure says which run and which bar it missed.
 host_results="$(mktemp -d)"
-KCORE_SMOKE=1 KCORE_DATASETS=amazon0601 KCORE_CACHE_DIR="$cache_dir" \
-  KCORE_RESULTS_DIR="$host_results" ./target/release/hostprof --check > /dev/null
+host_log="$(mktemp)"
+if ! KCORE_SMOKE=1 KCORE_DATASETS=amazon0601 KCORE_CACHE_DIR="$cache_dir" \
+  KCORE_RESULTS_DIR="$host_results" ./target/release/hostprof --check > "$host_log" 2>&1; then
+  echo "ERROR: hostprof --check failed; its output follows" >&2
+  cat "$host_log" >&2
+  exit 1
+fi
+rm -f "$host_log"
 if [[ ! -s "$host_results/table_host.json" ]]; then
   echo "ERROR: hostprof did not write table_host.json" >&2
   exit 1
