@@ -128,8 +128,8 @@ pub struct MultiGpuRun {
     pub worker_fingerprints: Vec<u64>,
     /// Bytes exchanged between devices over the whole run.
     pub exchanged_bytes: u64,
-    /// Exchanges that actually carried border packets (informational
-    /// observability rollup — never feeds the cost model).
+    /// Exchanges that actually carried border packets or notices
+    /// (informational observability rollup — never feeds the cost model).
     pub exchange_rounds: u64,
     /// Total worker→master border packets over the run (informational).
     pub border_packets: u64,
@@ -391,7 +391,7 @@ fn decompose_multi_impl(
     let exchange_rounds = round_log
         .iter()
         .flat_map(|r| &r.exchanges)
-        .filter(|e| e.packets_out > 0)
+        .filter(|e| e.bytes > 0)
         .count() as u64;
     let border_packets = round_log
         .iter()

@@ -39,10 +39,9 @@
 //!
 //! [`FleetTrace::merged_chrome_json`] renders the whole fleet as one
 //! Perfetto document: one process triple (GPU / PCIe / memory) per device,
-//! a link process carrying
-//! `worker → master` / `master → owner` hop slices, flow events tying each
-//! shard-pair's pack launch to its apply launch, and border-cascade slices
-//! on each owner device's tracks.
+//! a link process carrying `worker → master` / `master → receiver` hop
+//! slices, flow events tying each shard-pair's pack launch to its apply
+//! launch, and border-cascade slices on each owner device's tracks.
 
 use crate::perfetto::{counter_event, meta_event, obj};
 use crate::timeline::Timeline;
@@ -101,7 +100,7 @@ pub struct RoundTrace {
     /// are border cascades.
     pub slices: Vec<SubRoundSlice>,
     /// One entry per exchange; `exchanges[i]` follows `slices[i]`, and the
-    /// final exchange of a round is the empty one that ended it.
+    /// final exchange of a round is the one that produced no seeds.
     pub exchanges: Vec<ExchangeTrace>,
 }
 
